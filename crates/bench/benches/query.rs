@@ -9,7 +9,7 @@ use messi_baselines::paris::ts::ts_search;
 use messi_baselines::paris::{build_paris, ParisBuildVariant};
 use messi_baselines::ucr;
 use messi_core::exec::{QuerySpec, Schedule};
-use messi_core::{BsfPolicy, IndexConfig, MessiIndex, QueryConfig};
+use messi_core::{BsfPolicy, IndexConfig, MessiIndex, QueryConfig, ShardedExecutor, ShardedIndex};
 use messi_sax::mindist::MindistTable;
 use messi_series::distance::dtw::DtwParams;
 use messi_series::distance::Kernel;
@@ -120,13 +120,13 @@ fn bench_ablations(c: &mut Criterion) {
 /// context pool (zero per-query scratch allocations inside the loop).
 fn bench_batch_schedules(c: &mut Criterion) {
     let data = Arc::new(generate(DatasetKind::RandomWalk, N, 11));
-    let (messi, _) = MessiIndex::build(Arc::clone(&data), &IndexConfig::default());
+    let (messi, _) = ShardedIndex::build(Arc::clone(&data), 1, &IndexConfig::default());
     let queries = generate_queries(DatasetKind::RandomWalk, 16, 11);
     let config = QueryConfig::default();
     let parallelism = config.num_workers;
     // Pool sized to the widest schedule (inter uses `parallelism`
     // contexts, intra one of them) so prewarm runs no surplus queries.
-    let exec = messi_core::exec::QueryExecutor::with_capacity(&messi, parallelism);
+    let exec = ShardedExecutor::with_capacity(&messi, parallelism);
     exec.prewarm(queries.series(0), &QuerySpec::exact(), &config);
 
     let mut g = c.benchmark_group("batch_16q_50k");

@@ -33,8 +33,7 @@ pub fn fig19(scale: &Scale) -> Table {
 
         let serial: Box<QueryFn<'_>> = Box::new(|q| ucr::ucr_serial_dtw(&data, q, params));
         let parallel: Box<QueryFn<'_>> = Box::new(|q| ucr::ucr_parallel_dtw(&data, q, params, &qc));
-        let messi: Box<QueryFn<'_>> =
-            Box::new(|q| messi_core::dtw::exact_search_dtw(&index, q, params, &qc));
+        let messi: Box<QueryFn<'_>> = Box::new(|q| index.search_dtw(q, params, &qc));
 
         // All three must return the same (exact) DTW nearest neighbor.
         let reference = serial(qs.series(0)).0;

@@ -11,12 +11,11 @@
 //! The context is tied to the index lifetime `'a` because the queues
 //! hold `LeafRun<'a>` views (spans of one or more member leaves of an
 //! arena leaf run — the packed entry slice plus the run's SoA symbol
-//! block) between the traversal and processing phases. Create one
-//! context per batch (or per pool worker for
-//! inter-query parallelism) and pass it to the `*_with` query variants —
-//! or let the pooled [`crate::exec::QueryExecutor`] manage a whole
-//! `SlotPool` of them (contexts are `Send`, so the lock-free checkout/
-//! checkin handoff moves them freely between request threads).
+//! block) between the traversal and processing phases. The pooled
+//! [`crate::ShardedExecutor`] keeps a `SlotPool` of them per shard and
+//! holds one per batch worker for its whole share of a batch (contexts
+//! are `Send`, so the lock-free checkout/checkin handoff moves them
+//! freely between request threads).
 //! [`QueryContext::alloc_events`] counts how many times scratch had to
 //! be (re)built, so a steady batch shows a flat counter after its first
 //! query.
@@ -50,27 +49,25 @@ pub(crate) struct Scratch<'c, 'a> {
 /// mindist table, allocated once and reset between queries.
 ///
 /// ```
-/// use messi_core::engine::QueryContext;
-/// use messi_core::{IndexConfig, MessiIndex, QueryConfig};
+/// use messi_core::{IndexConfig, QueryConfig, QuerySpec, ShardedIndex};
 /// use messi_series::gen::{self, DatasetKind};
 /// use std::sync::Arc;
 ///
 /// let data = Arc::new(gen::generate(DatasetKind::RandomWalk, 300, 9));
-/// let (index, _) = MessiIndex::build(Arc::clone(&data), &IndexConfig::for_tests());
+/// let (index, _) = ShardedIndex::build(Arc::clone(&data), 1, &IndexConfig::for_tests());
 /// let queries = gen::queries::generate_queries(DatasetKind::RandomWalk, 4, 9);
 ///
-/// let mut ctx = QueryContext::new();
+/// let exec = index.executor();
 /// let config = QueryConfig::for_tests();
-/// let mut warm = None;
+/// let mut events = Vec::new();
 /// for q in queries.iter() {
-///     let _ = messi_core::exact::exact_search_with(&index, q, &config, &mut ctx);
-///     // After the first query the scratch is warm: later queries reuse
-///     // the queue set and mindist table instead of reallocating them.
-///     match warm {
-///         None => warm = Some(ctx.alloc_events()),
-///         Some(w) => assert_eq!(ctx.alloc_events(), w),
-///     }
+///     let (_, _, alloc_events, _) = exec.run_one_traced(q, &QuerySpec::exact(), &config);
+///     events.push(alloc_events);
 /// }
+/// // Only the first query builds the pooled context's scratch: later
+/// // queries reuse its queue set and mindist table.
+/// assert!(events[0] > 0);
+/// assert!(events[1..].iter().all(|&e| e == 0));
 /// ```
 #[derive(Default)]
 pub struct QueryContext<'a> {

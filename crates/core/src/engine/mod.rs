@@ -22,11 +22,11 @@
 //! * [`QueryContext`] — reusable scratch (queue set, barrier, mindist
 //!   table) so batch workloads stop paying per-query allocations.
 //!
-//! [`crate::exact`], [`crate::knn`], [`crate::range`], [`crate::dtw`],
-//! and [`crate::approximate`] are thin adapters that pick a (metric,
-//! objective) pair, seed the bound, and hand control to the driver. Any
-//! metric composes with any objective — DTW k-NN, DTW range, and DTW
-//! δ-ε-approximate queries cost no extra code.
+//! The engine knows nothing of query specs, seeding or shards: the one
+//! query path in [`crate::exec`] summarizes the query, seeds the bound,
+//! picks the (metric, objective) pair and calls `run` — statically
+//! specialized per pair. Any metric composes with any objective, so DTW
+//! k-NN, DTW range, and DTW δ-ε-approximate queries cost no extra code.
 
 mod context;
 mod driver;
@@ -35,9 +35,9 @@ mod objective;
 
 pub use context::QueryContext;
 
-pub(crate) use context::TableSpec;
+pub(crate) use context::{Scratch, TableSpec};
 pub(crate) use driver::{run, Engine};
-pub(crate) use metric::{DtwMetric, EuclideanMetric};
+pub(crate) use metric::{DtwMetric, EuclideanMetric, Metric};
 pub(crate) use objective::{
     ApproxObjective, KnnObjective, NearestObjective, RangeObjective, ShardSlot, SharedBound,
 };

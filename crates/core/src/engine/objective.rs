@@ -9,7 +9,7 @@
 //!   (Alg. 5–9), in the atomic or locked flavor of
 //!   [`BsfPolicy`](crate::config::BsfPolicy).
 //! * [`KnnObjective`] — exact k-NN: the bound is the k-th best distance
-//!   held by a shared [`KnnSet`](crate::knn::KnnSet).
+//!   held by a shared [`KnnSet`](crate::exec::KnnSet).
 //! * [`RangeObjective`] — ε-range: a *fixed* bound, so no priority order
 //!   (and hence no queues or barrier) is needed — the driver runs in
 //!   queue-less mode and matches are collected instead of minimized.
@@ -26,8 +26,7 @@
 //! shrinking-bound objectives use.
 
 use crate::config::BsfPolicy;
-use crate::exact::QueryAnswer;
-use crate::knn::KnnSet;
+use crate::exec::{KnnSet, QueryAnswer};
 use crate::shard::global_pos;
 use crate::stats::StopReason;
 use messi_sync::{AtomicBsf, BestSoFar, Counter, LockedBsf};
@@ -72,7 +71,7 @@ impl SharedBound {
 /// Where one single-index search sits inside a sharded scatter: the
 /// shard's global position offset plus the cross-shard bound it shares
 /// (if its objective shares one). [`ShardSlot::solo`] — offset 0, no
-/// shared bound — makes every adapter byte-for-byte the classic
+/// shared bound — makes the query path byte-for-byte the classic
 /// single-index search, so the solo path pays nothing for shardability.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ShardSlot<'s> {
@@ -323,7 +322,7 @@ impl RangeObjective {
     /// All matches, ascending by distance (position breaks ties).
     pub(crate) fn into_sorted(self) -> Vec<QueryAnswer> {
         let mut answers = self.hits.into_inner();
-        answers.sort_by(|a, b| a.dist_sq.total_cmp(&b.dist_sq).then(a.pos.cmp(&b.pos)));
+        answers.sort_by(QueryAnswer::rank_cmp);
         answers
     }
 }
@@ -382,7 +381,7 @@ pub(crate) struct ApproxLocal {
 ///   phase leaf scans. Once spent, [`SearchObjective::admit_leaf`] vetoes
 ///   further scanning and the queues wind down; the best-so-far at that
 ///   point is the answer. The budget is `ceil(δ · total leaves)` (chosen
-///   by the adapter), so `δ = 1` can never exhaust it — every queued
+///   by the query path), so `δ = 1` can never exhaust it — every queued
 ///   leaf is admitted at most once — and the guarantee degrades
 ///   gracefully as δ shrinks: each queue is drained best-bound-first, so
 ///   the budget goes to (approximately, under the multi-queue

@@ -1,35 +1,38 @@
-//! The pooled query-execution layer: one batch/concurrency frontend over
-//! the Metric × Objective matrix.
+//! The query path: what a query computes and the one function that
+//! computes it.
 //!
-//! MESSI's evaluation measures throughput over *streams* of queries, and
-//! the journal follow-up (*Fast Data Series Indexing for In-Memory Data*,
-//! VLDBJ) together with ParIS+ frame query answering as a reusable
-//! worker-pool **service** with per-worker scratch. This module is that
-//! service, layered over the [`crate::engine`] driver:
+//! MESSI answers every query with one skeleton (Alg. 5–9), and the
+//! journal follow-up (*Fast Data Series Indexing for In-Memory Data*)
+//! and ParIS+ present exact, k-NN and DTW search as that same skeleton,
+//! differing only in the distance and how the bound is kept. This module
+//! is that skeleton one layer above [`crate::engine`]:
 //!
 //! * [`QuerySpec`] — *what* one query computes: an [`Objective`] (exact
 //!   1-NN, k-NN, ε-range, or δ-ε-approximate 1-NN) × a [`MetricSpec`]
 //!   (Euclidean, banded DTW).
+//! * `answer` — the single prologue (validate, summarize, build the DTW
+//!   envelope, seed from the home leaf, prepare the scratch, build the
+//!   metric) and engine run for every cell of that matrix, solo or as
+//!   one shard of a scatter.
+//! * [`QueryAnswer`] — a result, with the one answer order
+//!   ([`QueryAnswer::rank_cmp`]) every merge uses.
 //! * [`Schedule`] — *how* a batch maps onto the workers: intra-query
-//!   (the paper's protocol — queries sequential, each using all Ns
-//!   workers) or inter-query (queries dispensed across workers, each
-//!   answered single-threadedly for throughput).
-//! * [`QueryExecutor`] — owns the index handle plus a lock-free
-//!   [`messi_sync::SlotPool`] of warm [`crate::engine::QueryContext`]s,
-//!   and dispatches any spec under any schedule through **one**
-//!   chokepoint. After warm-up the per-query hot path performs zero
-//!   queue or mindist-table allocations; [`QueryExecutor::prewarm`]
-//!   makes that state reachable before the first real query.
+//!   (the paper's protocol) or inter-query (throughput).
 //!
-//! Everything above this layer is thin: [`crate::batch`] is two
-//! compatibility wrappers, the `MessiIndex::search*` methods are batches
-//! of one, and the CLI's `bench-query` subcommand is a command-line
-//! spelling of `(QuerySpec, Schedule)`. Everything below is shared: the
-//! executor adds **no** traversal logic of its own — each dispatch arm
-//! calls the corresponding `*_with` engine adapter.
+//! Everything above is thin: `MessiIndex::search*` are one-line calls
+//! of `answer` with a fresh context, and the one pooled executor,
+//! [`crate::ShardedExecutor`] (a single index is its one-shard case),
+//! checks warm contexts out and in around it.
 
-mod executor;
+mod answer;
 mod spec;
 
-pub use executor::QueryExecutor;
+pub use answer::QueryAnswer;
+pub(crate) use answer::{answer, gather, KnnSet};
 pub use spec::{MetricSpec, Objective, QuerySpec, Schedule};
+
+// Unit tests of the pooled executor, kept beside the query path they
+// drive; the executor itself is `crate::shard::ShardedExecutor`.
+#[cfg(test)]
+#[path = "../query_tests/executor.rs"]
+mod executor;

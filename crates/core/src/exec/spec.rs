@@ -4,8 +4,8 @@
 //! unified engine serves — *what* one query computes. A [`Schedule`]
 //! names how a *batch* of such queries maps onto the worker pool. The
 //! two axes are deliberately independent: every objective runs under
-//! every metric under every schedule, because the executor dispatches
-//! them through one chokepoint ([`super::QueryExecutor`]).
+//! every metric under every schedule, because every query goes through
+//! the one query path (`super::answer`).
 
 use messi_series::distance::dtw::DtwParams;
 

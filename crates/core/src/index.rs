@@ -1,14 +1,17 @@
 //! The [`MessiIndex`] handle: the finished tree plus approximate search.
 
-use crate::config::IndexConfig;
+use crate::config::{IndexConfig, QueryConfig};
+use crate::engine::{QueryContext, ShardSlot};
+use crate::exec::{QueryAnswer, QuerySpec};
 use crate::node::{
     assemble_forest, forest_groups, LeafEntry, NodeId, NodeRecord, SubtreeBuilder, TreeArena,
 };
-use crate::stats::BuildStats;
+use crate::stats::{BuildStats, QueryStats};
 use messi_sax::convert::{SaxConfig, SaxConverter};
 use messi_sax::mindist::mindist_sq_node;
 use messi_sax::root_key::{node_word_for_root_key, root_key};
 use messi_sax::word::SaxWord;
+use messi_series::distance::dtw::DtwParams;
 use messi_series::distance::euclidean::ed_sq_early_abandon_with;
 use messi_series::distance::Kernel;
 use messi_series::Dataset;
@@ -26,9 +29,10 @@ pub(crate) const EMPTY_SLOT: u32 = u32::MAX;
 /// [`MessiIndex::build`]; queried with [`MessiIndex::search`] (exact
 /// 1-NN), [`MessiIndex::search_knn`], [`MessiIndex::search_range`],
 /// [`MessiIndex::search_approximate_bounded`] (δ-ε-approximate 1-NN),
-/// or [`crate::dtw`] (exact DTW 1-NN) — all answered by the unified
-/// [`crate::engine`] driver. [`crate::persist`] saves and reloads the
-/// whole structure as a snapshot file.
+/// and their DTW twins — all answered by the one query path of
+/// [`crate::exec`] over the unified [`crate::engine`] driver.
+/// [`crate::persist`] saves and reloads the whole structure as a
+/// snapshot file.
 #[derive(Debug)]
 pub struct MessiIndex {
     pub(crate) dataset: Arc<Dataset>,
@@ -350,29 +354,36 @@ impl MessiIndex {
         self.num_entries() as f64 / (leaves * self.config.leaf_capacity) as f64
     }
 
-    /// Creates a pooled [`QueryExecutor`](crate::exec::QueryExecutor)
-    /// over this index — the batch/concurrency frontend serving every
-    /// objective × metric combination with warm per-worker contexts.
-    /// Hold one executor for a whole workload (batches, a server loop);
-    /// the `search*` convenience methods below create a transient one
-    /// per call.
-    pub fn executor(&self) -> crate::exec::QueryExecutor<'_> {
-        crate::exec::QueryExecutor::new(self)
-    }
-
-    /// Exact 1-NN search (Alg. 5–9): a batch of one through the
-    /// [`crate::exec`] layer. Returns the answer and per-query
+    /// Exact 1-NN search (Alg. 5–9). Returns the answer and per-query
     /// statistics.
-    pub fn search(
-        &self,
-        query: &[f32],
-        config: &crate::config::QueryConfig,
-    ) -> (crate::exact::QueryAnswer, crate::stats::QueryStats) {
-        let (mut answers, stats) = self.run_single(query, &crate::exec::QuerySpec::exact(), config);
-        (answers.pop().expect("exact search always answers"), stats)
+    ///
+    /// # Panics
+    ///
+    /// Panics if the query length mismatches or the configuration is
+    /// invalid.
+    pub fn search(&self, query: &[f32], config: &QueryConfig) -> (QueryAnswer, QueryStats) {
+        first(self.answer(query, &QuerySpec::exact(), config))
     }
 
     /// Exact k-NN search: the `k` nearest series, ascending by distance.
+    ///
+    /// ```
+    /// use messi_core::{IndexConfig, MessiIndex, QueryConfig};
+    /// use messi_series::gen::{self, DatasetKind};
+    /// use std::sync::Arc;
+    ///
+    /// let data = Arc::new(gen::generate(DatasetKind::RandomWalk, 500, 1));
+    /// let (index, _) = MessiIndex::build(Arc::clone(&data), &IndexConfig::for_tests());
+    /// let query = data.series(3).to_vec();
+    ///
+    /// let (top3, _) = index.search_knn(&query, 3, &QueryConfig::for_tests());
+    /// assert_eq!(top3.len(), 3);
+    /// assert_eq!(top3[0].pos, 3, "a member query's nearest neighbor is itself");
+    /// assert!(top3[0].dist_sq <= top3[1].dist_sq);
+    /// ```
+    ///
+    /// Returns fewer than `k` answers only when the dataset holds fewer
+    /// than `k` series.
     ///
     /// # Panics
     ///
@@ -382,13 +393,30 @@ impl MessiIndex {
         &self,
         query: &[f32],
         k: usize,
-        config: &crate::config::QueryConfig,
-    ) -> (Vec<crate::exact::QueryAnswer>, crate::stats::QueryStats) {
-        self.run_single(query, &crate::exec::QuerySpec::knn(k), config)
+        config: &QueryConfig,
+    ) -> (Vec<QueryAnswer>, QueryStats) {
+        self.answer(query, &QuerySpec::knn(k), config)
     }
 
     /// Exact ε-range search: every series with squared distance
-    /// `<= epsilon_sq`, ascending.
+    /// `<= epsilon_sq`, ascending by distance (position breaks ties).
+    /// `config.num_queues` and `config.bsf` are ignored — the bound is
+    /// the fixed ε², so no queues and no BSF exist.
+    ///
+    /// ```
+    /// use messi_core::{IndexConfig, MessiIndex, QueryConfig};
+    /// use messi_series::gen::{self, DatasetKind};
+    /// use std::sync::Arc;
+    ///
+    /// let data = Arc::new(gen::generate(DatasetKind::RandomWalk, 300, 2));
+    /// let (index, _) = MessiIndex::build(Arc::clone(&data), &IndexConfig::for_tests());
+    /// let query = data.series(7).to_vec();
+    ///
+    /// // Radius 0 returns the query's exact duplicates (itself, here).
+    /// let (hits, _) = index.search_range(&query, 0.0, &QueryConfig::for_tests());
+    /// assert!(hits.iter().any(|a| a.pos == 7));
+    /// assert!(hits.iter().all(|a| a.dist_sq == 0.0));
+    /// ```
     ///
     /// # Panics
     ///
@@ -398,12 +426,16 @@ impl MessiIndex {
         &self,
         query: &[f32],
         epsilon_sq: f32,
-        config: &crate::config::QueryConfig,
-    ) -> (Vec<crate::exact::QueryAnswer>, crate::stats::QueryStats) {
-        self.run_single(query, &crate::exec::QuerySpec::range(epsilon_sq), config)
+        config: &QueryConfig,
+    ) -> (Vec<QueryAnswer>, QueryStats) {
+        self.answer(query, &QuerySpec::range(epsilon_sq), config)
     }
 
-    /// Exact DTW 1-NN search with a Sakoe-Chiba band (Fig. 19).
+    /// Exact DTW 1-NN search with a Sakoe-Chiba band (Fig. 19): the
+    /// search skeleton is unchanged, only the metric is the three-level
+    /// `mindist_env ≤ LB_Keogh ≤ DTW` cascade. `real_distance_calcs`
+    /// counts full DTW evaluations and `lb_distance_calcs` counts mindist
+    /// *and* LB_Keogh evaluations.
     ///
     /// # Panics
     ///
@@ -412,12 +444,10 @@ impl MessiIndex {
     pub fn search_dtw(
         &self,
         query: &[f32],
-        params: messi_series::distance::dtw::DtwParams,
-        config: &crate::config::QueryConfig,
-    ) -> (crate::exact::QueryAnswer, crate::stats::QueryStats) {
-        let spec = crate::exec::QuerySpec::exact().with_dtw(params);
-        let (mut answers, stats) = self.run_single(query, &spec, config);
-        (answers.pop().expect("exact search always answers"), stats)
+        params: DtwParams,
+        config: &QueryConfig,
+    ) -> (QueryAnswer, QueryStats) {
+        first(self.answer(query, &QuerySpec::exact().with_dtw(params), config))
     }
 
     /// Exact k-NN search under banded DTW.
@@ -429,14 +459,10 @@ impl MessiIndex {
         &self,
         query: &[f32],
         k: usize,
-        params: messi_series::distance::dtw::DtwParams,
-        config: &crate::config::QueryConfig,
-    ) -> (Vec<crate::exact::QueryAnswer>, crate::stats::QueryStats) {
-        self.run_single(
-            query,
-            &crate::exec::QuerySpec::knn(k).with_dtw(params),
-            config,
-        )
+        params: DtwParams,
+        config: &QueryConfig,
+    ) -> (Vec<QueryAnswer>, QueryStats) {
+        self.answer(query, &QuerySpec::knn(k).with_dtw(params), config)
     }
 
     /// Exact ε-range search under banded DTW.
@@ -448,25 +474,25 @@ impl MessiIndex {
         &self,
         query: &[f32],
         epsilon_sq: f32,
-        params: messi_series::distance::dtw::DtwParams,
-        config: &crate::config::QueryConfig,
-    ) -> (Vec<crate::exact::QueryAnswer>, crate::stats::QueryStats) {
-        self.run_single(
+        params: DtwParams,
+        config: &QueryConfig,
+    ) -> (Vec<QueryAnswer>, QueryStats) {
+        self.answer(
             query,
-            &crate::exec::QuerySpec::range(epsilon_sq).with_dtw(params),
+            &QuerySpec::range(epsilon_sq).with_dtw(params),
             config,
         )
     }
 
-    /// One query as a batch of one: a single-slot executor answers it so
-    /// every public search method funnels through the exec dispatch.
-    fn run_single(
+    /// One query through the one query path, on fresh scratch.
+    fn answer(
         &self,
         query: &[f32],
-        spec: &crate::exec::QuerySpec,
-        config: &crate::config::QueryConfig,
-    ) -> (Vec<crate::exact::QueryAnswer>, crate::stats::QueryStats) {
-        crate::exec::QueryExecutor::with_capacity(self, 1).run_one(query, spec, config)
+        spec: &QuerySpec,
+        config: &QueryConfig,
+    ) -> (Vec<QueryAnswer>, QueryStats) {
+        let ctx = &mut QueryContext::new();
+        crate::exec::answer(self, query, spec, config, ctx, ShardSlot::solo(), None)
     }
 
     /// *ng-approximate* 1-NN search ("no guarantees"): one descent to the
@@ -485,16 +511,16 @@ impl MessiIndex {
     /// This is the `δ = 0` instance of the approximate objective — see
     /// [`MessiIndex::search_approximate_bounded`] for the δ-ε family with
     /// error bounds and statistics (it answers identically at
-    /// `epsilon = 0, delta = 0`; this entry point skips the executor
+    /// `epsilon = 0, delta = 0`; this entry point skips the query-path
     /// machinery, keeping the cheapest query mode allocation-light).
     /// Callers that already hold the query's iSAX word and PAA (the
     /// exact-search seeding path, the ParIS baselines) use the
     /// `#[doc(hidden)]` [`MessiIndex::seed_approximate`] variant to skip
     /// re-summarizing.
-    pub fn search_approximate(&self, query: &[f32], kernel: Kernel) -> crate::exact::QueryAnswer {
+    pub fn search_approximate(&self, query: &[f32], kernel: Kernel) -> QueryAnswer {
         let (sax, paa) = self.summarize_query(query);
         let (dist_sq, pos) = self.seed_approximate(query, &sax, &paa, kernel);
-        crate::exact::QueryAnswer {
+        QueryAnswer {
             pos: u64::from(pos),
             dist_sq,
         }
@@ -513,11 +539,29 @@ impl MessiIndex {
     ///   deterministic, and `epsilon = 0` degenerates to exact search
     ///   bit-for-bit.
     ///
-    /// `tests/approximate.rs` measures and asserts the guarantee against
-    /// brute force. See [`crate::approximate`] for the underlying
-    /// adapters and [`QueryStats`](crate::stats::QueryStats) fields
-    /// `stop_reason` / `approx_inflation_prunes` for the early-
-    /// termination accounting.
+    /// Pruning against `bsf/(1+ε)²` (squared distances) means any pruned
+    /// candidate lies at least `dist(bsf_final)/(1+ε)` away, hence the
+    /// distance guarantee. Each queue is drained best-bound-first, so a
+    /// δ budget goes to the most promising leaves; `tests/approximate.rs`
+    /// measures and asserts the guarantee against brute force. See the
+    /// [`QueryStats`] fields `stop_reason` / `approx_inflation_prunes`
+    /// for the early-termination accounting.
+    ///
+    /// ```
+    /// use messi_core::{IndexConfig, MessiIndex, QueryConfig};
+    /// use messi_series::gen::{self, DatasetKind};
+    /// use std::sync::Arc;
+    ///
+    /// let data = Arc::new(gen::generate(DatasetKind::RandomWalk, 400, 5));
+    /// let (index, _) = MessiIndex::build(Arc::clone(&data), &IndexConfig::for_tests());
+    /// let queries = gen::queries::generate_queries(DatasetKind::RandomWalk, 1, 5);
+    ///
+    /// // ε = 0.1, δ = 1: deterministically within 1.1× of the true NN.
+    /// let (approx, _) = index.search_approximate_bounded(
+    ///     queries.series(0), 0.1, 1.0, &QueryConfig::for_tests());
+    /// let (_, true_nn) = data.nearest_neighbor_brute_force(queries.series(0));
+    /// assert!(approx.dist_sq <= 1.1 * 1.1 * true_nn * (1.0 + 1e-3));
+    /// ```
     ///
     /// # Panics
     ///
@@ -529,14 +573,9 @@ impl MessiIndex {
         query: &[f32],
         epsilon: f32,
         delta: f32,
-        config: &crate::config::QueryConfig,
-    ) -> (crate::exact::QueryAnswer, crate::stats::QueryStats) {
-        let spec = crate::exec::QuerySpec::approximate(epsilon, delta);
-        let (mut answers, stats) = self.run_single(query, &spec, config);
-        (
-            answers.pop().expect("approximate search always answers"),
-            stats,
-        )
+        config: &QueryConfig,
+    ) -> (QueryAnswer, QueryStats) {
+        first(self.answer(query, &QuerySpec::approximate(epsilon, delta), config))
     }
 
     /// δ-ε-approximate 1-NN search under banded DTW: the same contract as
@@ -551,15 +590,11 @@ impl MessiIndex {
         query: &[f32],
         epsilon: f32,
         delta: f32,
-        params: messi_series::distance::dtw::DtwParams,
-        config: &crate::config::QueryConfig,
-    ) -> (crate::exact::QueryAnswer, crate::stats::QueryStats) {
-        let spec = crate::exec::QuerySpec::approximate(epsilon, delta).with_dtw(params);
-        let (mut answers, stats) = self.run_single(query, &spec, config);
-        (
-            answers.pop().expect("approximate search always answers"),
-            stats,
-        )
+        params: DtwParams,
+        config: &QueryConfig,
+    ) -> (QueryAnswer, QueryStats) {
+        let spec = QuerySpec::approximate(epsilon, delta).with_dtw(params);
+        first(self.answer(query, &spec, config))
     }
 
     /// Converts a query series to `(iSAX word, PAA)` using this index's
@@ -580,11 +615,11 @@ impl MessiIndex {
     }
 
     /// Low-level ng-approximate search for callers that already computed
-    /// the query's iSAX word and PAA: returns
-    /// `(squared distance, position)` — the initial BSF of Alg. 5. This is
-    /// the single objective-backed home-leaf path; the exact-search
-    /// seeding, the ParIS baselines, and every approximate mode all
-    /// funnel through it (via [`MessiIndex::home_leaf_entries`]).
+    /// the query's iSAX word and PAA: scans the home leaf
+    /// ([`MessiIndex::home_leaf_entries`]) with the early-abandoning
+    /// Euclidean kernel and returns `(squared distance, position)` — the
+    /// initial BSF of Alg. 5. [`MessiIndex::search_approximate`] and the
+    /// ParIS baselines answer through it.
     #[doc(hidden)]
     pub fn seed_approximate(
         &self,
@@ -593,25 +628,10 @@ impl MessiIndex {
         query_paa: &[f32],
         kernel: Kernel,
     ) -> (f32, u32) {
-        self.scan_entries_ed(self.home_leaf_entries(query_sax, query_paa), query, kernel)
-    }
-
-    /// Scans a slice of leaf entries with the early-abandoning Euclidean
-    /// kernel, returning the best `(squared distance, position)`.
-    pub(crate) fn scan_entries_ed(
-        &self,
-        entries: &[LeafEntry],
-        query: &[f32],
-        kernel: Kernel,
-    ) -> (f32, u32) {
         let mut best = (f32::INFINITY, u32::MAX);
-        for e in entries {
-            let d = ed_sq_early_abandon_with(
-                kernel,
-                query,
-                self.dataset.series(e.pos as usize),
-                best.0,
-            );
+        for e in self.home_leaf_entries(query_sax, query_paa) {
+            let series = self.dataset.series(e.pos as usize);
+            let d = ed_sq_early_abandon_with(kernel, query, series, best.0);
             if d < best.0 {
                 best = (d, e.pos);
             }
@@ -675,6 +695,11 @@ impl MessiIndex {
         }
         arena.leaf_entries(id)
     }
+}
+
+/// Unwraps the single answer of a 1-NN objective (exact or approximate).
+fn first((mut answers, stats): (Vec<QueryAnswer>, QueryStats)) -> (QueryAnswer, QueryStats) {
+    (answers.pop().expect("1-NN objectives always answer"), stats)
 }
 
 #[cfg(test)]

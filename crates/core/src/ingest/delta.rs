@@ -31,8 +31,7 @@
 use super::log::{dataset_fingerprint, DeltaLog, ReplayReport};
 use super::{check_position_ceiling, IngestError};
 use crate::config::QueryConfig;
-use crate::exact::QueryAnswer;
-use crate::exec::{MetricSpec, Objective, QuerySpec};
+use crate::exec::{gather, MetricSpec, Objective, QueryAnswer, QuerySpec};
 use crate::shard::{ShardedExecutor, ShardedIndex};
 use crate::stats::QueryStats;
 use messi_series::distance::dtw::dtw_sq_early_abandon;
@@ -540,40 +539,23 @@ fn overlay_candidates(
     out
 }
 
-/// Merges engine answers with overlay candidates under the same
-/// ordering the sharded gather uses: ascending `(dist_sq, pos)` with
-/// `total_cmp` on the distance.
+/// Merges engine answers with overlay candidates through the
+/// executor's own gather, so both follow the one answer order
+/// ([`QueryAnswer::rank_cmp`]).
 fn merge_overlay(
     spec: &QuerySpec,
-    engine: Vec<QueryAnswer>,
+    mut engine: Vec<QueryAnswer>,
     overlay: Vec<QueryAnswer>,
 ) -> Vec<QueryAnswer> {
-    let by_dist =
-        |a: &QueryAnswer, b: &QueryAnswer| a.dist_sq.total_cmp(&b.dist_sq).then(a.pos.cmp(&b.pos));
     match spec.objective {
-        Objective::Exact | Objective::Approx { .. } => {
-            let best = engine
-                .into_iter()
-                .chain(overlay)
-                .min_by(by_dist)
-                .expect("exact/approximate always answers");
-            vec![best]
-        }
-        Objective::Knn { k } => {
-            let mut all: Vec<QueryAnswer> = engine.into_iter().chain(overlay).collect();
-            all.sort_by(by_dist);
-            all.truncate(k);
-            all
-        }
+        // The engine admits `dist < next_up(ε²)`, i.e. `dist ≤ ε²` for
+        // finite distances — mirror that bound exactly.
         Objective::Range { epsilon_sq } => {
-            // The engine admits `dist < next_up(ε²)`, i.e. `dist ≤ ε²`
-            // for finite distances — mirror that bound exactly.
-            let mut all = engine;
-            all.extend(overlay.into_iter().filter(|a| a.dist_sq <= epsilon_sq));
-            all.sort_by(by_dist);
-            all
+            engine.extend(overlay.into_iter().filter(|a| a.dist_sq <= epsilon_sq));
         }
+        _ => engine.extend(overlay),
     }
+    gather(spec.objective, engine)
 }
 
 #[cfg(test)]

@@ -41,28 +41,17 @@
 //!   index to a file, reload it and answer queries without rebuilding.
 //! * [`engine`] — the unified query engine: one generic traversal/queue/
 //!   drain driver (Alg. 5–9) parameterized by a metric (Euclidean or
-//!   DTW) and a search objective (1-NN, k-NN, or ε-range), plus the
-//!   reusable per-worker [`engine::QueryContext`] scratch.
-//! * [`exact`] — exact 1-NN search (Alg. 5–9, Fig. 4), in single-queue
-//!   (SQ) and multi-queue (MQ) modes; an adapter over [`engine`].
-//! * [`knn`] — exact k-NN search (the paper's k-NN classification
-//!   application, §I), Euclidean and DTW; an adapter over [`engine`].
-//! * [`range`] — exact ε-range search (the companion similarity-search
-//!   primitive of the iSAX index family), Euclidean and DTW; an adapter
-//!   over [`engine`] in its queue-less mode.
-//! * [`approximate`] — ng- and δ-ε-approximate 1-NN search with error
-//!   bounds (the journal version's fourth query mode), Euclidean and
-//!   DTW; an adapter over [`engine`] with an ε-inflated bound and a
-//!   δ-derived early-termination budget.
-//! * [`exec`] — the pooled query-execution layer: a
-//!   [`exec::QueryExecutor`] owning warm per-worker contexts, serving
-//!   any objective × metric as single queries or batches under
-//!   intra-query (paper protocol) or inter-query (throughput)
-//!   scheduling.
-//! * [`batch`] — compatibility wrappers over [`exec`]: the historical
-//!   1-NN `search_batch` / `search_batch_interquery` entry points.
-//! * [`dtw`] — exact DTW 1-NN search via LB_Keogh envelopes (Fig. 19);
-//!   an adapter over [`engine`].
+//!   DTW) and a search objective (1-NN, k-NN, ε-range, or δ-ε-
+//!   approximate), plus the reusable per-worker [`engine::QueryContext`]
+//!   scratch.
+//! * [`exec`] — the one query path above the engine: a [`QuerySpec`]
+//!   (objective × metric) drives a single prologue — summarize the
+//!   query, build the LB_Keogh envelope for DTW (Fig. 19), seed the
+//!   bound from the home leaf (Fig. 4a), prepare the scratch — and one
+//!   engine run. It answers exact 1-NN (Fig. 4), exact k-NN (the
+//!   paper's k-NN classification application, §I), exact ε-range, and
+//!   the journal version's ng- and δ-ε-approximate 1-NN, each under
+//!   Euclidean distance or banded DTW.
 //! * [`stats`] — build/query statistics: distance-calculation counters
 //!   (Fig. 17) and per-phase time breakdown (Fig. 13), now reported
 //!   uniformly by every objective.
@@ -79,29 +68,26 @@
 //!   `messi compact`).
 //! * [`shard`] — sharded multi-index scatter-gather: a [`ShardedIndex`]
 //!   of N independent [`MessiIndex`] shards over contiguous position
-//!   ranges, built in parallel, queried by fanning each query out to
-//!   per-shard engines that share one atomic cross-shard BSF for
-//!   pruning, and persisted as a per-shard snapshot directory with a
-//!   checksummed manifest.
+//!   ranges, built in parallel and persisted as a per-shard snapshot
+//!   directory with a checksummed manifest; and the one pooled executor,
+//!   [`ShardedExecutor`], which owns warm per-shard contexts and answers
+//!   single queries and batches under intra-query (paper protocol) or
+//!   inter-query (throughput) scheduling. A single index is its
+//!   one-shard case ([`ShardedIndex::from_single`]); with more shards
+//!   the 1-NN objectives share one atomic cross-shard BSF for pruning.
 //! * [`validate`] — index invariant checker used by the test suite.
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
-pub mod approximate;
-pub mod batch;
 pub mod build;
 pub mod config;
-pub mod dtw;
 pub mod engine;
-pub mod exact;
 pub mod exec;
 pub mod index;
 pub mod ingest;
-pub mod knn;
 pub mod node;
 pub mod persist;
-pub mod range;
 pub mod serve;
 pub mod shard;
 pub mod stats;
@@ -112,8 +98,7 @@ pub use config::{
     RunBatchPolicy,
 };
 pub use engine::QueryContext;
-pub use exact::QueryAnswer;
-pub use exec::{MetricSpec, Objective, QueryExecutor, QuerySpec, Schedule};
+pub use exec::{MetricSpec, Objective, QueryAnswer, QuerySpec, Schedule};
 pub use index::MessiIndex;
 pub use ingest::{
     DeltaIndex, IngestError, IngestOptions, IngestReport, IngestStats, LogError, ReplayReport,
@@ -122,3 +107,25 @@ pub use persist::{load_index, save_index, PersistError};
 pub use serve::{IndexServer, ServeConfig, ServeSummary};
 pub use shard::{global_pos, load_sharded, save_sharded, ShardedExecutor, ShardedIndex};
 pub use stats::{BuildStats, QueryStats, StopReason, TimeBreakdown};
+
+// Unit tests of the query path, grouped by objective and metric. These
+// modules hold tests only: the code under test is `exec`'s `answer`,
+// the `MessiIndex::search*` wrappers and the `ShardedExecutor`.
+#[cfg(test)]
+#[path = "query_tests/approximate.rs"]
+mod approximate;
+#[cfg(test)]
+#[path = "query_tests/batch.rs"]
+mod batch;
+#[cfg(test)]
+#[path = "query_tests/dtw.rs"]
+mod dtw;
+#[cfg(test)]
+#[path = "query_tests/exact.rs"]
+mod exact;
+#[cfg(test)]
+#[path = "query_tests/knn.rs"]
+mod knn;
+#[cfg(test)]
+#[path = "query_tests/range.rs"]
+mod range;

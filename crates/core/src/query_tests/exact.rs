@@ -1,151 +1,14 @@
-//! Exact 1-NN search (Alg. 5–9, Fig. 4).
-//!
-//! The MESSI query algorithm in one paragraph: compute the query's iSAX
-//! summary; run an *approximate* search down the tree to seed the shared
-//! Best-So-Far (BSF); then Ns search workers (1) traverse all root
-//! subtrees — handed out by Fetch&Inc — pruning nodes by lower-bound
-//! distance and inserting surviving *leaves* into Nq shared priority
-//! queues round-robin; (2) after a barrier, repeatedly pop the
-//! minimum-bound leaf from a queue, re-check its bound against the BSF
-//! (*second filtering*), and scan the leaf: per entry a SIMD lower bound,
-//! then a SIMD early-abandoning real distance only if necessary, updating
-//! the BSF on improvement. A popped bound ≥ BSF finishes the whole queue
-//! (min-heap order); workers then hop to the next unfinished queue,
-//! chosen with randomization to avoid convoying. When every queue is
-//! finished, the BSF *is* the exact answer.
-//!
-//! All of that machinery lives in [`crate::engine`], shared with k-NN,
-//! range, and DTW search; this module is the thin adapter that pairs the
-//! Euclidean metric with the 1-NN objective and seeds the BSF from the
-//! approximate search (Fig. 4a).
-
-use crate::config::QueryConfig;
-use crate::engine::{
-    self, Engine, EuclideanMetric, NearestObjective, QueryContext, ShardSlot, TableSpec,
-};
-use crate::index::MessiIndex;
-use crate::shard::global_pos;
-use crate::stats::{QueryStats, SharedQueryStats};
-use std::time::Instant;
-
-/// The result of an exact similarity-search query.
-///
-/// `pos` is a *global* position: u64 so that sharded collections can
-/// exceed the per-shard u32 position cap (each shard still stores local
-/// u32 positions; see [`crate::shard::global_pos`]). For a single
-/// [`MessiIndex`] it is the plain dataset position.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct QueryAnswer {
-    /// Global position of the nearest series in the dataset.
-    pub pos: u64,
-    /// Squared distance to it (Euclidean, or DTW for DTW queries).
-    pub dist_sq: f32,
-}
-
-impl QueryAnswer {
-    /// The distance as a metric value (square root of `dist_sq`).
-    pub fn distance(&self) -> f32 {
-        self.dist_sq.sqrt()
-    }
-}
-
-/// Exact 1-NN search over `index` (Alg. 5).
-///
-/// # Panics
-///
-/// Panics if the query length differs from the indexed series length, or
-/// the configuration is invalid.
-pub fn exact_search(
-    index: &MessiIndex,
-    query: &[f32],
-    config: &QueryConfig,
-) -> (QueryAnswer, QueryStats) {
-    exact_search_with(index, query, config, &mut QueryContext::new())
-}
-
-/// [`exact_search`] with caller-provided scratch: `ctx` is reset (not
-/// reallocated) per query, which is how the batch paths run whole
-/// workloads without per-query queue or mindist-table allocations.
-///
-/// # Panics
-///
-/// As [`exact_search`].
-pub fn exact_search_with<'a>(
-    index: &'a MessiIndex,
-    query: &[f32],
-    config: &QueryConfig,
-    ctx: &mut QueryContext<'a>,
-) -> (QueryAnswer, QueryStats) {
-    exact_search_sharded(index, query, config, ctx, ShardSlot::solo())
-}
-
-/// [`exact_search_with`] running as one shard of a sharded scatter: hit
-/// positions are globalized through `slot.offset` and, when
-/// `slot.shared` is set, the BSF is published to / pruned against the
-/// cross-shard bound. With [`ShardSlot::solo`] this *is* the
-/// single-index search, byte for byte.
-pub(crate) fn exact_search_sharded<'a>(
-    index: &'a MessiIndex,
-    query: &[f32],
-    config: &QueryConfig,
-    ctx: &mut QueryContext<'a>,
-    slot: ShardSlot<'_>,
-) -> (QueryAnswer, QueryStats) {
-    config.validate();
-    let t_start = Instant::now();
-
-    // ---- Initialization: summarize the query, seed the BSF (Fig. 4a) ----
-    let (query_sax, query_paa) = index.summarize_query(query);
-    let (d0, p0) = index.seed_approximate(query, &query_sax, &query_paa, config.kernel);
-    if let Some(shared) = slot.shared {
-        shared.update_min(d0);
-    }
-    let objective = NearestObjective::new(config.bsf, d0, p0, slot.shared);
-    let scratch = ctx.prepare(
-        index.sax_config(),
-        TableSpec::Point(&query_paa),
-        Some(config),
-    );
-    let metric = EuclideanMetric::new(index, query, &query_paa, scratch.table, config.kernel);
-    let stats = SharedQueryStats::new();
-    let init_ns = t_start.elapsed().as_nanos() as u64;
-
-    // ---- Search workers (Alg. 6), run by the shared engine ----
-    engine::run(
-        &Engine {
-            index,
-            scratch,
-            stats: &stats,
-            queue_policy: config.queue_policy,
-            num_workers: config.num_workers,
-            collect_breakdown: config.collect_breakdown,
-            coalesce: config.run_batching(),
-        },
-        &metric,
-        &objective,
-    );
-
-    let (dist_sq, pos) = objective.answer();
-    let mut stats = stats.finish(
-        t_start.elapsed(),
-        init_ns,
-        config.num_workers as u64,
-        config.collect_breakdown,
-    );
-    stats.initial_bsf_dist_sq = d0;
-    (
-        QueryAnswer {
-            pos: global_pos(slot.offset, pos),
-            dist_sq,
-        },
-        stats,
-    )
-}
+//! Unit tests of exact 1-NN search (Alg. 5–9, Fig. 4) through
+//! [`MessiIndex::search`](crate::MessiIndex::search) and the query path
+//! on caller-provided scratch.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::config::{BsfPolicy, IndexConfig};
+    use crate::config::{BsfPolicy, IndexConfig, QueryConfig};
+    use crate::engine::{QueryContext, ShardSlot};
+    use crate::exec::{answer, QueryAnswer, QuerySpec};
+    use crate::index::MessiIndex;
+    use crate::stats::QueryStats;
     use messi_series::distance::Kernel;
     use messi_series::gen::{self, DatasetKind};
     use std::sync::Arc;
@@ -155,8 +18,22 @@ mod tests {
         MessiIndex::build(data, &IndexConfig::for_tests()).0
     }
 
+    /// One exact 1-NN query through the query path on caller scratch.
+    fn exact_on<'a>(
+        index: &'a MessiIndex,
+        query: &[f32],
+        config: &QueryConfig,
+        ctx: &mut QueryContext<'a>,
+    ) -> (QueryAnswer, QueryStats) {
+        let spec = QuerySpec::exact();
+        let (mut answers, stats) =
+            answer(index, query, &spec, config, ctx, ShardSlot::solo(), None);
+        assert_eq!(answers.len(), 1, "exact search answers once");
+        (answers.pop().expect("one answer"), stats)
+    }
+
     fn assert_exact(index: &MessiIndex, query: &[f32], config: &QueryConfig) -> QueryStats {
-        let (ans, stats) = exact_search(index, query, config);
+        let (ans, stats) = index.search(query, config);
         let (bf_pos, bf_dist) = index.dataset().nearest_neighbor_brute_force(query);
         assert!(
             (ans.dist_sq - bf_dist).abs() <= 1e-3 * bf_dist.max(1.0),
@@ -236,7 +113,7 @@ mod tests {
     fn member_query_finds_itself() {
         let index = build(200, 66);
         let q = index.dataset().series(17).to_vec();
-        let (ans, _) = exact_search(&index, &q, &QueryConfig::for_tests());
+        let (ans, _) = index.search(&q, &QueryConfig::for_tests());
         assert_eq!(ans.dist_sq, 0.0);
         assert_eq!(ans.distance(), 0.0);
     }
@@ -263,7 +140,7 @@ mod tests {
             collect_breakdown: true,
             ..QueryConfig::for_tests()
         };
-        let (_, stats) = exact_search(&index, queries.series(0), &config);
+        let (_, stats) = index.search(queries.series(0), &config);
         let b = stats.breakdown.expect("breakdown requested");
         assert!(b.init_ns > 0);
         assert!(b.total_ns() > 0);
@@ -287,7 +164,7 @@ mod tests {
         };
         let (index, _) = MessiIndex::build(data, &config);
         let q = base.series(1).to_vec();
-        let (ans, _) = exact_search(&index, &q, &QueryConfig::for_tests());
+        let (ans, _) = index.search(&q, &QueryConfig::for_tests());
         assert_eq!(ans.dist_sq, 0.0);
     }
 
@@ -299,7 +176,7 @@ mod tests {
         let mut ctx = QueryContext::new();
         let mut warm = None;
         for q in queries.iter() {
-            let (ans, _) = exact_search_with(&index, q, &config, &mut ctx);
+            let (ans, _) = exact_on(&index, q, &config, &mut ctx);
             let (_, bf) = index.dataset().nearest_neighbor_brute_force(q);
             assert!((ans.dist_sq - bf).abs() <= 1e-3 * bf.max(1.0));
             match warm {
@@ -317,7 +194,7 @@ mod tests {
             num_queues: 5,
             ..config
         };
-        let (ans, _) = exact_search_with(&index, queries.series(0), &wide, &mut ctx);
+        let (ans, _) = exact_on(&index, queries.series(0), &wide, &mut ctx);
         let (_, bf) = index
             .dataset()
             .nearest_neighbor_brute_force(queries.series(0));

@@ -14,8 +14,7 @@
 //! typos fail loudly instead of silently running a default query.
 
 use super::json::{escape, Json};
-use crate::exact::QueryAnswer;
-use crate::exec::{MetricSpec, Objective, QuerySpec};
+use crate::exec::{MetricSpec, Objective, QueryAnswer, QuerySpec};
 use crate::stats::{QueryStats, StopReason};
 use messi_series::distance::dtw::DtwParams;
 

@@ -1,28 +1,34 @@
-//! The [`ShardedExecutor`]: scatter-gather query answering over a
-//! [`ShardedIndex`].
+//! The [`ShardedExecutor`]: the one pooled query executor, answering
+//! over a [`ShardedIndex`] (a single index is its one-shard case).
 
 use super::ShardedIndex;
 use crate::config::QueryConfig;
 use crate::engine::{QueryContext, ShardSlot, SharedBound};
-use crate::exact::QueryAnswer;
-use crate::exec::{MetricSpec, Objective, QuerySpec, Schedule};
-use crate::index::MessiIndex;
-use crate::knn::KnnSet;
+use crate::exec::{answer, gather, KnnSet, Objective, QueryAnswer, QuerySpec, Schedule};
 use crate::stats::{QueryStats, QueryStatsAggregate, StopReason};
 use messi_series::Dataset;
 use messi_sync::{Dispenser, SlotPool, WorkerPool};
 use parking_lot::Mutex;
 use std::time::Instant;
 
-/// What one shard hands back from a scatter: its local answers, its
-/// [`QueryStats`], and the context allocation-event delta.
-type ShardReturn = (Vec<QueryAnswer>, QueryStats, u64);
+/// One shard's share of a scatter: its answers and its [`QueryStats`].
+type ShardAnswer = (Vec<QueryAnswer>, QueryStats);
 
-/// A pooled scatter-gather frontend over one [`ShardedIndex`]: the
-/// sharded counterpart of [`crate::exec::QueryExecutor`], answering the
-/// full [`QuerySpec`] matrix under both [`Schedule`]s.
+/// The pooled query executor over one [`ShardedIndex`], answering the
+/// full [`QuerySpec`] matrix as single queries
+/// ([`ShardedExecutor::run_one`]) and batches
+/// ([`ShardedExecutor::run_batch`]) under both [`Schedule`]s. Build it
+/// with [`ShardedIndex::executor`]; wrap a single index with
+/// [`ShardedIndex::from_single`].
 ///
-/// Per query, the executor fans out to every shard's engine and merges:
+/// The executor owns one lock-free [`SlotPool`] of warm
+/// [`QueryContext`]s per shard. After warm-up the per-query hot path
+/// performs zero queue or mindist-table allocations (debug builds
+/// assert this over every batch; [`ShardedExecutor::prewarm`] makes the
+/// state reachable before the first real query).
+///
+/// With one shard every query is the single-index search, byte for
+/// byte. With more, each query fans out to every shard's engine:
 ///
 /// * Under [`Schedule::IntraQuery`] (and [`ShardedExecutor::run_one`])
 ///   the shards run *concurrently*, splitting `config.num_workers`
@@ -37,13 +43,36 @@ type ShardReturn = (Vec<QueryAnswer>, QueryStats, u64);
 /// k-NN scatters over one shared `KnnSet` keyed by global positions
 /// (the k-th-best bound is automatically collection-global); range
 /// search shares nothing (the bound is the fixed ε²) and concatenates.
-/// Per-shard [`QueryStats`] are summed through the same counters the
-/// single-index path reports, so batch aggregation flows through
-/// [`QueryStatsAggregate`] unchanged.
+/// Per-shard [`QueryStats`] are summed through the same counters a
+/// single index reports.
 ///
-/// With one shard the executor delegates straight to the single-index
-/// adapters (no shared bound, full worker complement) — byte-identical
-/// to [`crate::exec::QueryExecutor`].
+/// ```
+/// use messi_core::exec::{QuerySpec, Schedule};
+/// use messi_core::{IndexConfig, QueryConfig, ShardedIndex};
+/// use messi_series::gen::{self, DatasetKind};
+/// use std::sync::Arc;
+///
+/// let data = Arc::new(gen::generate(DatasetKind::RandomWalk, 400, 3));
+/// let (index, _) = ShardedIndex::build(Arc::clone(&data), 1, &IndexConfig::for_tests());
+/// let queries = gen::queries::generate_queries(DatasetKind::RandomWalk, 6, 3);
+/// let config = QueryConfig::for_tests();
+///
+/// let exec = index.executor();
+/// // A k-NN batch, queries dispensed across 4 single-threaded workers.
+/// let (answers, agg) = exec.run_batch(
+///     &queries,
+///     &QuerySpec::knn(3),
+///     Schedule::InterQuery { parallelism: 4 },
+///     &config,
+/// );
+/// assert_eq!(answers.len(), 6);
+/// assert!(answers.iter().all(|a| a.len() == 3));
+/// assert_eq!(agg.queries, 6);
+///
+/// // The same executor serves single-shot queries.
+/// let (top1, _) = exec.run_one(queries.series(0), &QuerySpec::exact(), &config);
+/// assert_eq!(top1[0], answers[0][0]);
+/// ```
 #[derive(Debug)]
 pub struct ShardedExecutor<'a> {
     index: &'a ShardedIndex,
@@ -54,7 +83,8 @@ pub struct ShardedExecutor<'a> {
 
 impl<'a> ShardedExecutor<'a> {
     /// Creates an executor whose per-shard context pools match the
-    /// process worker pool (2 × cores each).
+    /// process worker pool (2 × cores each), the capacity a saturating
+    /// inter-query batch or server frontend needs.
     pub fn new(index: &'a ShardedIndex) -> Self {
         Self::with_capacity(index, 2 * crate::config::available_cores())
     }
@@ -84,167 +114,67 @@ impl<'a> ShardedExecutor<'a> {
         self.contexts.iter().map(SlotPool::parked).sum()
     }
 
-    /// Answers one query with a concurrent shard scatter: exact 1-NN
+    /// Sum of [`QueryContext::alloc_events`] over the parked contexts of
+    /// every shard pool — the observable behind the zero-allocation-
+    /// after-warm-up tests (requires exclusive access so no checkout can
+    /// race the count).
+    pub fn warm_alloc_events(&mut self) -> u64 {
+        let pools = self.contexts.iter_mut();
+        pools
+            .flat_map(SlotPool::iter_mut)
+            .map(|c| c.alloc_events())
+            .sum()
+    }
+
+    /// Answers one query, the shards running concurrently: exact 1-NN
     /// and approximate return exactly one answer; k-NN up to `k`,
     /// ascending; range every match, ascending. Positions are global.
     ///
     /// # Panics
     ///
-    /// As [`crate::exec::QueryExecutor::run_one`].
+    /// Panics if the query length mismatches the index, the configuration
+    /// is invalid, `k == 0`, or `epsilon_sq` is negative or NaN.
     pub fn run_one(
         &self,
         query: &[f32],
         spec: &QuerySpec,
         config: &QueryConfig,
     ) -> (Vec<QueryAnswer>, QueryStats) {
-        let (answers, stats, _, _) = self.run_one_scattered(query, spec, config);
+        let (answers, stats, _, _) = self.run_one_traced(query, spec, config);
         (answers, stats)
     }
 
     /// As [`ShardedExecutor::run_one`], additionally reporting the
-    /// summed context allocation-event delta (the zero-alloc-after-
-    /// warm-up observable) and the raw per-shard [`QueryStats`] — the
-    /// serve daemon feeds the latter into its per-shard Prometheus
-    /// counter families.
+    /// summed context allocation-event delta across this query (0 on
+    /// warm contexts: the zero-alloc-after-warm-up invariant as a live
+    /// observable) and the raw per-shard [`QueryStats`] — the serve
+    /// daemon feeds both into its Prometheus metrics.
     pub fn run_one_traced(
         &self,
         query: &[f32],
         spec: &QuerySpec,
         config: &QueryConfig,
     ) -> (Vec<QueryAnswer>, QueryStats, u64, Vec<QueryStats>) {
-        self.run_one_scattered(query, spec, config)
+        self.with_contexts(|ctxs| {
+            let before = alloc_events(ctxs);
+            let (answers, stats, per_shard) = self.scatter(query, spec, config, ctxs, true);
+            let delta = alloc_events(ctxs) - before;
+            (answers, stats, delta, per_shard)
+        })
     }
 
-    /// The concurrent scatter behind `run_one` / `run_one_traced`.
-    fn run_one_scattered(
-        &self,
-        query: &[f32],
-        spec: &QuerySpec,
-        config: &QueryConfig,
-    ) -> (Vec<QueryAnswer>, QueryStats, u64, Vec<QueryStats>) {
-        let n = self.index.num_shards();
-        let t_start = Instant::now();
-        let knn = make_knn(spec);
-
-        if n == 1 {
-            // Solo fast path: the single-index search, byte for byte.
-            let mut ctx = self.contexts[0].checkout().unwrap_or_default();
-            let before = ctx.alloc_events();
-            let (answers, stats) = run_shard(
-                self.index.shard(0),
-                query,
-                spec,
-                config,
-                &mut ctx,
-                ShardSlot::solo(),
-                knn.as_ref(),
-            );
-            let delta = ctx.alloc_events().saturating_sub(before);
-            self.contexts[0].checkin(ctx);
-            let per_shard = vec![stats.clone()];
-            let answers = gather(spec, answers, knn);
-            return (answers, stats, delta, per_shard);
-        }
-
-        // Split the worker complement between the concurrent shards.
-        let shard_config = QueryConfig {
-            num_workers: (config.num_workers / n).max(1),
-            ..config.clone()
-        };
-        let shared = SharedBound::new();
-        let slots: Vec<Mutex<Option<ShardReturn>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        // One pool party per shard; each shard's engine either runs
-        // inline (one worker) or forks scoped threads for its share.
-        WorkerPool::global().run(n, &|shard_id| {
-            let shard = self.index.shard(shard_id);
-            let slot = ShardSlot {
-                offset: self.index.shard_offset(shard_id),
-                shared: Some(&shared),
-            };
-            let mut ctx = self.contexts[shard_id].checkout().unwrap_or_default();
-            let before = ctx.alloc_events();
-            let out = run_shard(
-                shard,
-                query,
-                spec,
-                &shard_config,
-                &mut ctx,
-                slot,
-                knn.as_ref(),
-            );
-            let delta = ctx.alloc_events().saturating_sub(before);
-            self.contexts[shard_id].checkin(ctx);
-            *slots[shard_id].lock() = Some((out.0, out.1, delta));
-        });
-
-        let mut per_shard_answers = Vec::new();
-        let mut per_shard_stats = Vec::with_capacity(n);
-        let mut alloc_delta = 0u64;
-        for slot in slots {
-            let (answers, stats, delta) = slot.into_inner().expect("every shard answered");
-            per_shard_answers.extend(answers);
-            per_shard_stats.push(stats);
-            alloc_delta += delta;
-        }
-        let merged = merge_shard_stats(&per_shard_stats, t_start.elapsed());
-        let answers = gather(spec, per_shard_answers, knn);
-        (answers, merged, alloc_delta, per_shard_stats)
-    }
-
-    /// Answers one query by walking the shards *sequentially* with the
-    /// given (already inter-query-shaped) config — the per-batch-worker
-    /// path where the shared BSF carries shard `i`'s answer into shard
-    /// `i+1`'s pruning. `ctxs` holds one checked-out context per shard.
-    fn answer_sequential(
-        &self,
-        query: &[f32],
-        spec: &QuerySpec,
-        config: &QueryConfig,
-        ctxs: &mut [QueryContext<'a>],
-    ) -> (Vec<QueryAnswer>, QueryStats) {
-        let n = self.index.num_shards();
-        let knn = make_knn(spec);
-        if n == 1 {
-            let (answers, stats) = run_shard(
-                self.index.shard(0),
-                query,
-                spec,
-                config,
-                &mut ctxs[0],
-                ShardSlot::solo(),
-                knn.as_ref(),
-            );
-            return (gather(spec, answers, knn), stats);
-        }
-        let t_start = Instant::now();
-        let shared = SharedBound::new();
-        let mut per_shard_answers = Vec::with_capacity(n);
-        let mut per_shard_stats = Vec::with_capacity(n);
-        for (shard_id, ctx) in ctxs.iter_mut().enumerate() {
-            let slot = ShardSlot {
-                offset: self.index.shard_offset(shard_id),
-                shared: Some(&shared),
-            };
-            let (answers, stats) = run_shard(
-                self.index.shard(shard_id),
-                query,
-                spec,
-                config,
-                ctx,
-                slot,
-                knn.as_ref(),
-            );
-            per_shard_answers.extend(answers);
-            per_shard_stats.push(stats);
-        }
-        let merged = merge_shard_stats(&per_shard_stats, t_start.elapsed());
-        (gather(spec, per_shard_answers, knn), merged)
-    }
-
-    /// Answers a whole batch of queries under `schedule`; the sharded
-    /// counterpart of [`crate::exec::QueryExecutor::run_batch`], with
-    /// the same contract (answers in query order, aggregate statistics
-    /// merged through [`QueryStatsAggregate`]).
+    /// Answers a whole batch of queries under `schedule`.
+    ///
+    /// Returns one answer list per query, in query order, plus the
+    /// aggregate statistics (including the summed Fig. 13 breakdown when
+    /// `config.collect_breakdown` is set).
+    ///
+    /// Under [`Schedule::IntraQuery`] the queries run one after the
+    /// other on the calling thread, each with the full worker complement
+    /// of `config`; under [`Schedule::InterQuery`] they are dispensed
+    /// across `parallelism` pool workers and `config.num_workers` /
+    /// `num_queues` are ignored (each query runs with one worker and one
+    /// queue per shard).
     ///
     /// # Panics
     ///
@@ -257,59 +187,39 @@ impl<'a> ShardedExecutor<'a> {
         schedule: Schedule,
         config: &QueryConfig,
     ) -> (Vec<Vec<QueryAnswer>>, QueryStatsAggregate) {
-        match schedule {
-            Schedule::IntraQuery => {
-                let mut answers = Vec::with_capacity(queries.len());
-                let mut agg = QueryStatsAggregate::default();
-                for q in queries.iter() {
-                    let (ans, stats, _, _) = self.run_one_scattered(q, spec, config);
-                    agg.add(&stats);
-                    answers.push(ans);
-                }
-                (answers, agg)
-            }
-            Schedule::InterQuery { parallelism } => {
-                self.run_batch_inter(queries, spec, parallelism, config)
-            }
-        }
-    }
-
-    /// Inter-query scheduling: queries parallel across batch workers,
-    /// shards sequential inside each query (one engine worker each).
-    fn run_batch_inter(
-        &self,
-        queries: &Dataset,
-        spec: &QuerySpec,
-        parallelism: usize,
-        config: &QueryConfig,
-    ) -> (Vec<Vec<QueryAnswer>>, QueryStatsAggregate) {
-        assert!(parallelism > 0, "parallelism must be positive");
-        let n = self.index.num_shards();
-        let per_query = QueryConfig {
-            num_workers: 1,
-            num_queues: 1,
-            ..config.clone()
-        };
         let dispenser = Dispenser::new(queries.len());
         let slots: Vec<Mutex<Option<Vec<QueryAnswer>>>> =
             (0..queries.len()).map(|_| Mutex::new(None)).collect();
         let agg = Mutex::new(QueryStatsAggregate::default());
-        WorkerPool::global().run(parallelism.min(queries.len().max(1)), &|_pid| {
-            let mut local_agg = QueryStatsAggregate::default();
-            let mut ctxs: Vec<QueryContext<'a>> = (0..n)
-                .map(|i| self.contexts[i].checkout().unwrap_or_default())
-                .collect();
-            while let Some(qi) = dispenser.next() {
-                let (ans, stats) =
-                    self.answer_sequential(queries.series(qi), spec, &per_query, &mut ctxs);
-                local_agg.add(&stats);
-                *slots[qi].lock() = Some(ans);
+        // One batch worker: pulls queries until the dispenser runs dry,
+        // on one checked-out context per shard for its whole share.
+        let worker = |config: &QueryConfig, concurrent: bool| {
+            self.with_contexts(|ctxs| {
+                let mut local = QueryStatsAggregate::default();
+                let mut warm = WarmupCheck::default();
+                while let Some(qi) = dispenser.next() {
+                    let q = queries.series(qi);
+                    let (answers, stats, _) = self.scatter(q, spec, config, ctxs, concurrent);
+                    warm.observe(ctxs);
+                    local.add(&stats);
+                    *slots[qi].lock() = Some(answers);
+                }
+                agg.lock().merge(&local);
+            })
+        };
+        match schedule {
+            Schedule::IntraQuery => worker(config, true),
+            Schedule::InterQuery { parallelism } => {
+                assert!(parallelism > 0, "parallelism must be positive");
+                let per_query = QueryConfig {
+                    num_workers: 1,
+                    num_queues: 1,
+                    ..config.clone()
+                };
+                let parties = parallelism.min(queries.len().max(1));
+                WorkerPool::global().run(parties, &|_| worker(&per_query, false));
             }
-            agg.lock().merge(&local_agg);
-            for (i, ctx) in ctxs.into_iter().enumerate() {
-                self.contexts[i].checkin(ctx);
-            }
-        });
+        }
         let answers = slots
             .into_iter()
             .map(|s| s.into_inner().expect("every query answered"))
@@ -318,130 +228,163 @@ impl<'a> ShardedExecutor<'a> {
     }
 
     /// Warms every slot of every shard pool by running `query` against
-    /// the owning shard once per slot, then parks all contexts — the
-    /// sharded counterpart of
-    /// [`crate::exec::QueryExecutor::prewarm`], used by the serve
-    /// daemon so first real queries run allocation-free.
+    /// the owning shard once per slot — holding the contexts so each
+    /// slot is visited exactly once — then parks them all. The serve
+    /// daemon calls this at startup so the first real queries already
+    /// run allocation-free; the zero-alloc tests use it to make warm-up
+    /// deterministic.
     pub fn prewarm(&self, query: &[f32], spec: &QuerySpec, config: &QueryConfig) {
         for (shard_id, pool) in self.contexts.iter().enumerate() {
             let shard = self.index.shard(shard_id);
-            let mut held = Vec::with_capacity(pool.capacity());
-            for _ in 0..pool.capacity() {
-                let mut ctx = pool.checkout().unwrap_or_default();
-                let knn = make_knn(spec);
-                let _ = run_shard(
-                    shard,
-                    query,
-                    spec,
-                    config,
-                    &mut ctx,
-                    ShardSlot::solo(),
-                    knn.as_ref(),
-                );
-                held.push(ctx);
-            }
+            let held: Vec<_> = (0..pool.capacity())
+                .map(|_| {
+                    let mut ctx = pool.checkout().unwrap_or_default();
+                    answer(
+                        shard,
+                        query,
+                        spec,
+                        config,
+                        &mut ctx,
+                        ShardSlot::solo(),
+                        None,
+                    );
+                    ctx
+                })
+                .collect();
             for ctx in held {
                 pool.checkin(ctx);
             }
         }
     }
-}
 
-/// The shared k-NN set for `spec`, if the objective is k-NN.
-fn make_knn(spec: &QuerySpec) -> Option<KnnSet> {
-    match spec.objective {
-        Objective::Knn { k } => Some(KnnSet::new(k)),
-        _ => None,
+    /// Runs `f` over one context per shard — checked out of the shard
+    /// pools, or built cold — and parks them again afterwards.
+    fn with_contexts<R>(&self, f: impl FnOnce(&mut [QueryContext<'a>]) -> R) -> R {
+        if let [pool] = &self.contexts[..] {
+            // One shard: no per-call context vector.
+            let mut ctx = pool.checkout().unwrap_or_default();
+            let out = f(std::slice::from_mut(&mut ctx));
+            pool.checkin(ctx);
+            return out;
+        }
+        let pools = &self.contexts;
+        let mut ctxs: Vec<_> = pools
+            .iter()
+            .map(|p| p.checkout().unwrap_or_default())
+            .collect();
+        let out = f(&mut ctxs);
+        for (pool, ctx) in pools.iter().zip(ctxs) {
+            pool.checkin(ctx);
+        }
+        out
+    }
+
+    /// Answers one query over every shard, `ctxs[i]` serving shard `i`:
+    /// concurrently (the worker complement split between the shards) or
+    /// sequentially (each shard with `config` as given). Returns the
+    /// gathered answers, the query's statistics and the per-shard
+    /// statistics.
+    fn scatter(
+        &self,
+        query: &[f32],
+        spec: &QuerySpec,
+        config: &QueryConfig,
+        ctxs: &mut [QueryContext<'a>],
+        concurrent: bool,
+    ) -> (Vec<QueryAnswer>, QueryStats, Vec<QueryStats>) {
+        let knn = match spec.objective {
+            Objective::Knn { k } => Some(KnnSet::new(k)),
+            _ => None,
+        };
+        let finish = |answers, knn: Option<KnnSet>| match knn {
+            Some(set) => set.into_sorted(),
+            None => gather(spec.objective, answers),
+        };
+        if let [ctx] = ctxs {
+            // One shard: the single-index search, byte for byte.
+            let solo = ShardSlot::solo();
+            let (answers, stats) = answer(
+                self.index.shard(0),
+                query,
+                spec,
+                config,
+                ctx,
+                solo,
+                knn.as_ref(),
+            );
+            return (finish(answers, knn), stats.clone(), vec![stats]);
+        }
+        let n = ctxs.len();
+        let t_start = Instant::now();
+        let shared = SharedBound::new();
+        let slot = |shard_id| ShardSlot {
+            offset: self.index.shard_offset(shard_id),
+            shared: Some(&shared),
+        };
+        let parts: Vec<ShardAnswer> = if concurrent {
+            let shard_config = QueryConfig {
+                num_workers: (config.num_workers / n).max(1),
+                ..config.clone()
+            };
+            let cells: Vec<Mutex<(&mut QueryContext<'a>, Option<ShardAnswer>)>> =
+                ctxs.iter_mut().map(|ctx| Mutex::new((ctx, None))).collect();
+            // One pool party per shard; each shard's engine either runs
+            // inline (one worker) or forks scoped threads for its share.
+            WorkerPool::global().run(n, &|shard_id| {
+                let mut cell = cells[shard_id].lock();
+                let (ctx, out) = &mut *cell;
+                let shard = self.index.shard(shard_id);
+                let slot = slot(shard_id);
+                *out = Some(answer(
+                    shard,
+                    query,
+                    spec,
+                    &shard_config,
+                    ctx,
+                    slot,
+                    knn.as_ref(),
+                ));
+            });
+            let done = cells.into_iter().map(|c| c.into_inner().1);
+            done.map(|out| out.expect("every shard answered")).collect()
+        } else {
+            let shards = ctxs.iter_mut().enumerate();
+            shards
+                .map(|(i, ctx)| {
+                    let shard = self.index.shard(i);
+                    answer(shard, query, spec, config, ctx, slot(i), knn.as_ref())
+                })
+                .collect()
+        };
+        let (answers, per_shard): (Vec<Vec<QueryAnswer>>, Vec<QueryStats>) =
+            parts.into_iter().unzip();
+        let stats = merge_shard_stats(&per_shard, t_start.elapsed());
+        (finish(answers.concat(), knn), stats, per_shard)
     }
 }
 
-/// Runs one shard's share of a query: the sharded Metric × Objective
-/// dispatch, mirroring the single-index chokepoint in
-/// [`crate::exec`] but through the `*_sharded` adapters. k-NN answers
-/// land in the shared set (the returned list is empty); everything else
-/// returns globalized answers directly.
-fn run_shard<'a>(
-    shard: &'a MessiIndex,
-    query: &[f32],
-    spec: &QuerySpec,
-    config: &QueryConfig,
-    ctx: &mut QueryContext<'a>,
-    slot: ShardSlot<'_>,
-    knn: Option<&KnnSet>,
-) -> (Vec<QueryAnswer>, QueryStats) {
-    match (spec.metric, spec.objective) {
-        (MetricSpec::Euclidean, Objective::Exact) => {
-            let (ans, stats) = crate::exact::exact_search_sharded(shard, query, config, ctx, slot);
-            (vec![ans], stats)
-        }
-        (MetricSpec::Euclidean, Objective::Knn { .. }) => {
-            let set = knn.expect("k-NN scatter owns a shared set");
-            let stats = crate::knn::exact_knn_shared(shard, query, set, slot.offset, config, ctx);
-            (Vec::new(), stats)
-        }
-        (MetricSpec::Euclidean, Objective::Range { epsilon_sq }) => {
-            crate::range::range_search_sharded(shard, query, epsilon_sq, config, ctx, slot.offset)
-        }
-        (MetricSpec::Euclidean, Objective::Approx { epsilon, delta }) => {
-            let (ans, stats) = crate::approximate::approx_search_sharded(
-                shard, query, epsilon, delta, config, ctx, slot,
-            );
-            (vec![ans], stats)
-        }
-        (MetricSpec::Dtw(params), Objective::Exact) => {
-            let (ans, stats) =
-                crate::dtw::exact_search_dtw_sharded(shard, query, params, config, ctx, slot);
-            (vec![ans], stats)
-        }
-        (MetricSpec::Dtw(params), Objective::Knn { .. }) => {
-            let set = knn.expect("k-NN scatter owns a shared set");
-            let stats = crate::knn::exact_knn_dtw_shared(
-                shard,
-                query,
-                set,
-                slot.offset,
-                params,
-                config,
-                ctx,
-            );
-            (Vec::new(), stats)
-        }
-        (MetricSpec::Dtw(params), Objective::Range { epsilon_sq }) => {
-            crate::range::range_search_dtw_sharded(
-                shard,
-                query,
-                epsilon_sq,
-                params,
-                config,
-                ctx,
-                slot.offset,
-            )
-        }
-        (MetricSpec::Dtw(params), Objective::Approx { epsilon, delta }) => {
-            let (ans, stats) = crate::approximate::approx_search_dtw_sharded(
-                shard, query, epsilon, delta, params, config, ctx, slot,
-            );
-            (vec![ans], stats)
-        }
-    }
+/// Sum of [`QueryContext::alloc_events`] over checked-out contexts.
+fn alloc_events(ctxs: &[QueryContext<'_>]) -> u64 {
+    ctxs.iter().map(QueryContext::alloc_events).sum()
 }
 
-/// Merges per-shard partial answers into the final, globally-ordered
-/// answer list.
-fn gather(spec: &QuerySpec, per_shard: Vec<QueryAnswer>, knn: Option<KnnSet>) -> Vec<QueryAnswer> {
-    match spec.objective {
-        Objective::Knn { .. } => knn.expect("k-NN scatter owns a shared set").into_sorted(),
-        Objective::Exact | Objective::Approx { .. } => {
-            let best = per_shard
-                .into_iter()
-                .min_by(|a, b| a.dist_sq.total_cmp(&b.dist_sq).then(a.pos.cmp(&b.pos)))
-                .expect("at least one shard answers");
-            vec![best]
-        }
-        Objective::Range { .. } => {
-            let mut all = per_shard;
-            all.sort_by(|a, b| a.dist_sq.total_cmp(&b.dist_sq).then(a.pos.cmp(&b.pos)));
-            all
+/// Debug-build guard for the pooled zero-allocation invariant: the first
+/// query a batch worker answers may (re)build scratch; every later query
+/// on the same checked-out contexts must leave their allocation counters
+/// untouched.
+#[derive(Default)]
+struct WarmupCheck(Option<u64>);
+
+impl WarmupCheck {
+    #[inline]
+    fn observe(&mut self, ctxs: &[QueryContext<'_>]) {
+        let events = alloc_events(ctxs);
+        match self.0 {
+            None => self.0 = Some(events),
+            Some(warm) => debug_assert_eq!(
+                events, warm,
+                "per-query scratch allocation after pooled warm-up"
+            ),
         }
     }
 }

@@ -62,8 +62,7 @@ fn main() {
     );
 
     // DTW search through the index.
-    let (dtw_ans, dtw_stats) =
-        messi::index::dtw::exact_search_dtw(&index, &query, params, &qconfig);
+    let (dtw_ans, dtw_stats) = index.search_dtw(&query, params, &qconfig);
     println!(
         "DTW 1-NN: series {:<8} dtw-distance {:.4}{}",
         dtw_ans.pos,

@@ -66,7 +66,7 @@ fn main() {
     for (true_class, (name, _)) in CLASSES.iter().enumerate() {
         let tests = &holdouts[true_class];
         for q in tests.iter() {
-            let (neighbors, _) = messi::index::knn::exact_knn(&index, q, k, &qconfig);
+            let (neighbors, _) = index.search_knn(q, k, &qconfig);
             let mut votes = [0usize; CLASSES.len()];
             for a in &neighbors {
                 votes[label_of(a.pos)] += 1;

@@ -11,7 +11,7 @@
 //!
 //! | module | contents |
 //! |---|---|
-//! | [`index`] (re-export of `messi_core`) | the MESSI index: parallel build, one unified query engine answering exact 1-NN / k-NN / range search under ED or DTW, and the pooled batch/concurrency executor over all of them |
+//! | [`index`] (re-export of `messi_core`) | the MESSI index: parallel build, one query path answering exact 1-NN / k-NN / range and approximate search under ED or DTW through a unified engine, and the pooled batch/concurrency executor over it |
 //! | [`baselines`] | the paper's competitors: in-memory ParIS (SIMS), ParIS-TS, UCR Suite-P |
 //! | [`series`] | datasets, distance kernels (ED/DTW/LB_Keogh, scalar + AVX2), workload generators |
 //! | [`sax`] | iSAX summaries, breakpoints, lower-bound (mindist) kernels |
@@ -72,9 +72,9 @@ pub mod sync {
 pub use messi_core::{
     load_index, load_sharded, save_index, save_sharded, BuildStats, DeltaIndex, IndexConfig,
     IndexServer, IngestError, IngestOptions, IngestReport, IngestStats, LogError, MessiIndex,
-    MetricSpec, Objective, PersistError, QueryAnswer, QueryConfig, QueryContext, QueryExecutor,
-    QuerySpec, QueryStats, ReplayReport, Schedule, ServeConfig, ServeSummary, ShardedExecutor,
-    ShardedIndex, StopReason,
+    MetricSpec, Objective, PersistError, QueryAnswer, QueryConfig, QueryContext, QuerySpec,
+    QueryStats, ReplayReport, Schedule, ServeConfig, ServeSummary, ShardedExecutor, ShardedIndex,
+    StopReason,
 };
 
 /// The commonly needed imports in one place.
@@ -82,8 +82,8 @@ pub mod prelude {
     pub use messi_core::{
         load_index, load_sharded, save_index, save_sharded, BsfPolicy, BuildStats, BuildVariant,
         IndexConfig, MessiIndex, MetricSpec, Objective, PersistError, QueryAnswer, QueryConfig,
-        QueryContext, QueryExecutor, QuerySpec, QueryStats, QueuePolicy, Schedule, ShardedExecutor,
-        ShardedIndex, StopReason,
+        QueryContext, QuerySpec, QueryStats, QueuePolicy, Schedule, ShardedExecutor, ShardedIndex,
+        StopReason,
     };
     pub use messi_series::distance::dtw::DtwParams;
     pub use messi_series::distance::Kernel;

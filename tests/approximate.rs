@@ -284,6 +284,7 @@ fn executor_schedules_agree_on_approximate_answers() {
     let (_, index) = build(400, 31);
     let queries = messi::series::gen::queries::generate_queries(DatasetKind::RandomWalk, 6, 31);
     let config = QueryConfig::for_tests();
+    let index = ShardedIndex::from_single(index);
     let exec = index.executor();
     for spec in [
         QuerySpec::approximate(0.1, 1.0),

@@ -173,7 +173,7 @@ fn range_search_is_exact_across_configs() {
                 num_workers: workers,
                 ..QueryConfig::default()
             };
-            let (got, _) = messi::index::range::range_search(&index, q, eps, &qc);
+            let (got, _) = index.search_range(q, eps, &qc);
             assert!(
                 got.len() >= expect,
                 "workers={workers}: found {} < clearly-inside {expect}",

@@ -12,7 +12,7 @@
 //! * batches through the pooled executor — every objective × metric ×
 //!   schedule × worker count — are element-wise identical to the
 //!   sequential single-query answers, and the pooled contexts record
-//!   zero `alloc_events` after warm-up;
+//!   zero `alloc_events` after warm-up, at one shard and at two;
 //! * the approximate objective at its exact corner
 //!   (`Approx { epsilon: 0, delta: 1 }`) is bit-identical to `Exact` —
 //!   answers *and* pruning counters — for every metric × schedule ×
@@ -242,9 +242,10 @@ proptest! {
         let k = s.k.min(data.len());
         let queries =
             messi::series::gen::queries::generate_queries(DatasetKind::RandomWalk, 3, s.seed ^ 1);
+        let index = ShardedIndex::from_single(index);
         let exec = index.executor();
 
-        for spec in matrix_specs(&data, &index, &s, k) {
+        for spec in matrix_specs(&data, index.shard(0), &s, k) {
             // --- Inter-query schedule: each query runs single-threaded,
             // so batch answers are bit-identical to a sequential
             // single-query run under the same 1-worker/1-queue config.
@@ -297,6 +298,7 @@ proptest! {
         let queries =
             messi::series::gen::queries::generate_queries(DatasetKind::RandomWalk, 3, s.seed ^ 3);
         let params = DtwParams::paper_default(data.series_len());
+        let index = ShardedIndex::from_single(index);
         let exec = index.executor();
 
         for (exact_spec, approx_spec) in [
@@ -371,31 +373,39 @@ proptest! {
         let queries =
             messi::series::gen::queries::generate_queries(DatasetKind::RandomWalk, 4, s.seed ^ 2);
         let parallelism = s.num_workers;
-        let mut exec = QueryExecutor::with_capacity(&index, parallelism);
+        let specs = matrix_specs(&data, &index, &s, k);
 
-        // Deterministic warm-up: every pooled context answers one query.
-        exec.prewarm(queries.series(0), &QuerySpec::exact(), &config);
-        prop_assert!(exec.warm_alloc_events() > 0, "warm-up builds the scratch");
+        // The single index (one shard) and a two-shard split of it.
+        let sharded = ShardedIndex::build(Arc::clone(&data), 2, index.config()).0;
+        for index in [ShardedIndex::from_single(index), sharded] {
+            let shards = index.num_shards();
+            let mut exec = ShardedExecutor::with_capacity(&index, parallelism);
 
-        // For each cell × schedule, the first batch may reshape the
-        // scratch (queue-count changes between schedules are resets, and
-        // growth is counted); an identical second batch must record zero
-        // further alloc_events in any pooled context.
-        for spec in matrix_specs(&data, &index, &s, k) {
-            for schedule in [
-                Schedule::IntraQuery,
-                Schedule::InterQuery { parallelism },
-            ] {
-                let _ = exec.run_batch(&queries, &spec, schedule, &config);
-                let warm = exec.warm_alloc_events();
-                let _ = exec.run_batch(&queries, &spec, schedule, &config);
-                prop_assert_eq!(
-                    exec.warm_alloc_events(),
-                    warm,
-                    "repeat batch allocated pooled scratch: {:?} {:?}",
-                    spec,
-                    schedule
-                );
+            // Deterministic warm-up: every pooled context answers one query.
+            exec.prewarm(queries.series(0), &QuerySpec::exact(), &config);
+            prop_assert!(exec.warm_alloc_events() > 0, "warm-up builds the scratch");
+
+            // For each cell × schedule, the first batch may reshape the
+            // scratch (queue-count changes between schedules are resets,
+            // and growth is counted); an identical second batch must
+            // record zero further alloc_events in any pooled context.
+            for spec in &specs {
+                for schedule in [
+                    Schedule::IntraQuery,
+                    Schedule::InterQuery { parallelism },
+                ] {
+                    let _ = exec.run_batch(&queries, spec, schedule, &config);
+                    let warm = exec.warm_alloc_events();
+                    let _ = exec.run_batch(&queries, spec, schedule, &config);
+                    prop_assert_eq!(
+                        exec.warm_alloc_events(),
+                        warm,
+                        "repeat batch allocated pooled scratch: {} shards {:?} {:?}",
+                        shards,
+                        spec,
+                        schedule
+                    );
+                }
             }
         }
     }

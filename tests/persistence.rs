@@ -135,9 +135,12 @@ proptest! {
             num_queues: s.num_queues,
             ..QueryConfig::for_tests()
         };
+        let specs = matrix_specs(&data, &index, &s);
+        let index = ShardedIndex::from_single(index);
+        let loaded = ShardedIndex::from_single(loaded);
         let exec_mem = index.executor();
         let exec_snap = loaded.executor();
-        for spec in matrix_specs(&data, &index, &s) {
+        for spec in specs {
             for schedule in [
                 Schedule::IntraQuery,
                 Schedule::InterQuery { parallelism: s.num_workers },

@@ -158,7 +158,7 @@ proptest! {
         });
         let queries = messi::series::gen::queries::generate_queries(DatasetKind::RandomWalk, 1, seed);
         let q = queries.series(0);
-        let (answers, _) = messi::index::knn::exact_knn(&index, q, k, &QueryConfig {
+        let (answers, _) = index.search_knn(q, k, &QueryConfig {
             num_workers: 3,
             num_queues: 2,
             ..QueryConfig::default()

@@ -78,7 +78,9 @@ fn every_objective_metric_schedule_cell_is_bit_identical_to_a_single_index() {
     let config = IndexConfig::for_tests();
     let qconfig = deterministic();
     let (single, _) = MessiIndex::build(Arc::clone(&data), &config);
-    let reference = QueryExecutor::new(&single);
+    // The reference: the one executor over the single index itself.
+    let single = ShardedIndex::from_single(single);
+    let reference = ShardedExecutor::new(&single);
     let queries = gen::queries::generate_queries(DatasetKind::RandomWalk, 3, 41);
 
     // A radius wide enough for a non-trivial ED result set (and, being
@@ -199,7 +201,9 @@ fn approximate_other_corners_stay_within_their_bound_when_sharded() {
     let config = IndexConfig::for_tests();
     let qconfig = deterministic();
     let (single, _) = MessiIndex::build(Arc::clone(&data), &config);
-    let reference = QueryExecutor::new(&single);
+    // The reference: the one executor over the single index itself.
+    let single = ShardedIndex::from_single(single);
+    let reference = ShardedExecutor::new(&single);
     let queries = gen::queries::generate_queries(DatasetKind::RandomWalk, 3, 45);
     let epsilon = 0.25f32;
 
@@ -228,7 +232,8 @@ fn sharding_respects_forced_scalar_kernels() {
     let config = IndexConfig::for_tests();
     let (single, _) = MessiIndex::build(Arc::clone(&data), &config);
     let (sharded, _) = ShardedIndex::build(Arc::clone(&data), 2, &config);
-    let reference = QueryExecutor::new(&single);
+    let single = ShardedIndex::from_single(single);
+    let reference = ShardedExecutor::new(&single);
     let exec = ShardedExecutor::new(&sharded);
     let queries = gen::queries::generate_queries(DatasetKind::RandomWalk, 2, 46);
 
