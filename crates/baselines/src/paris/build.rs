@@ -15,7 +15,7 @@
 //!   Fig. 5 baseline with that one cost removed (per-worker parts, but
 //!   still position-only buffers and fixed ranges).
 
-use messi_core::node::{LeafEntry, SubtreeBuilder, TreeArena};
+use messi_core::node::{LeafEntry, Subtree, SubtreeBuilder};
 use messi_core::{BuildStats, IndexConfig, MessiIndex};
 use messi_sax::convert::{SaxConfig, SaxConverter};
 use messi_sax::root_key::{node_word_for_root_key, root_key};
@@ -119,7 +119,7 @@ pub fn build_paris(
         ParisBuildVariant::NoSynch => part_bufs.touched_keys(),
     };
     let dispenser = Dispenser::new(touched.len());
-    let built: Mutex<Vec<(usize, TreeArena)>> = Mutex::new(Vec::with_capacity(touched.len()));
+    let built: Mutex<Vec<(usize, Subtree)>> = Mutex::new(Vec::with_capacity(touched.len()));
     std::thread::scope(|s| {
         for _ in 0..num_workers {
             let touched = &touched;
@@ -201,7 +201,7 @@ mod tests {
         assert_eq!(paris.num_series(), 300);
         for &key in paris.tree.touched_keys() {
             paris.tree.root(key).unwrap().for_each_leaf(&mut |leaf| {
-                for e in leaf.entries {
+                for e in leaf.entries() {
                     assert_eq!(paris.sax_array[e.pos as usize], e.sax);
                 }
             });
@@ -221,7 +221,7 @@ mod tests {
                 let mut v = Vec::new();
                 t.root(key)
                     .unwrap()
-                    .for_each_leaf(&mut |l| v.extend(l.entries.iter().map(|e| e.pos)));
+                    .for_each_leaf(&mut |l| v.extend_from_slice(l.positions));
                 v.sort_unstable();
                 v
             };

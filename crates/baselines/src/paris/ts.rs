@@ -97,13 +97,16 @@ pub fn ts_search(
                                 }
                             }
                         } else {
-                            for e in arena.leaf_entries(id) {
+                            // ParIS keeps the summaries in its own SAX
+                            // array, indexed by position.
+                            for &pos in arena.leaf_positions(id) {
                                 local.lb += 1;
                                 let bound = bsf.load();
+                                let sax = &paris.sax_array[pos as usize];
                                 let lb = if use_simd {
-                                    table.mindist_sq(&e.sax)
+                                    table.mindist_sq(sax)
                                 } else {
-                                    mindist_sq_leaf_scalar(query_paa, scales, &e.sax)
+                                    mindist_sq_leaf_scalar(query_paa, scales, sax)
                                 };
                                 if lb >= bound {
                                     continue;
@@ -112,10 +115,10 @@ pub fn ts_search(
                                 let dist = ed_sq_early_abandon_with(
                                     config.kernel,
                                     query,
-                                    paris.dataset().series(e.pos as usize),
+                                    paris.dataset().series(pos as usize),
                                     bound,
                                 );
-                                if dist < bound && bsf.update_min(dist, e.pos) {
+                                if dist < bound && bsf.update_min(dist, pos) {
                                     local.bsf_updates += 1;
                                 }
                             }

@@ -150,7 +150,7 @@ fn bench_batch_schedules(c: &mut Criterion) {
 }
 
 /// Leaf-scan-heavy workloads: the paths the arena layout (contiguous
-/// preorder node records + one packed leaf-entry pool per subtree)
+/// preorder node records + flat leaf positions and symbol columns)
 /// accelerates over the former `Box<Node>`-per-node / `Vec`-per-leaf
 /// tree. `full_leaf_sweep` is pure storage traversal (no distance
 /// math); `range_wide` keeps nearly every leaf unpruned so entry scans
@@ -178,7 +178,7 @@ fn bench_leaf_scan(c: &mut Criterion) {
             let mut acc = 0u64;
             for arena in messi.arenas() {
                 arena.for_each_leaf(&mut |l| {
-                    acc += l.entries.iter().map(|e| e.pos as u64).sum::<u64>()
+                    acc += l.positions.iter().map(|&p| u64::from(p)).sum::<u64>()
                 });
             }
             acc
@@ -189,27 +189,12 @@ fn bench_leaf_scan(c: &mut Criterion) {
     });
     g.bench_function("exact_1worker", |b| b.iter(|| messi.search(q, &one_worker)));
 
-    // SoA vs AoS lower-bound sweep: the same mindist table swept over
-    // every leaf, either per entry through the interleaved AoS words or
-    // 8 entries at a time through the struct-of-arrays symbol columns —
-    // the isolated win of the leaf-layout transpose, without any search
-    // logic around it.
+    // The lower-bound sweep: one mindist table swept over every leaf,
+    // 8 entries at a time through the symbol columns, SIMD and scalar —
+    // the batched kernel without any search logic around it.
     let segments = messi.sax_config().segments;
     let qp = paa(q, segments);
     let table = MindistTable::new(&qp, messi.sax_config());
-    g.bench_function("mindist_sweep_aos", |b| {
-        b.iter(|| {
-            let mut acc = 0.0f32;
-            for arena in messi.arenas() {
-                arena.for_each_leaf(&mut |l| {
-                    for e in l.entries {
-                        acc += table.mindist_sq(&e.sax);
-                    }
-                });
-            }
-            acc
-        })
-    });
     for (name, use_simd) in [
         ("mindist_sweep_soa_simd", true),
         ("mindist_sweep_soa_scalar", false),
@@ -220,7 +205,7 @@ fn bench_leaf_scan(c: &mut Criterion) {
                 let mut out = [0.0f32; 8];
                 for arena in messi.arenas() {
                     arena.for_each_leaf(&mut |l| {
-                        let n = l.entries.len();
+                        let n = l.positions.len();
                         let mut base = 0;
                         while base < n {
                             let len = (n - base).min(8);

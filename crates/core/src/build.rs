@@ -10,8 +10,9 @@
 //! 2. **TreeConstruction** (Alg. 4): buffers (= root subtrees) are handed
 //!    out by Fetch&Inc; each worker drains all parts of its buffer into
 //!    that subtree through a reusable [`SubtreeBuilder`], splitting
-//!    leaves as needed, then flattens it into a [`TreeArena`] — two
-//!    exact-capacity allocations per subtree, however many nodes it has.
+//!    leaves as needed, then flattens it into a [`Subtree`] — two
+//!    exact-capacity allocations per subtree, however many nodes it has
+//!    — which [`MessiIndex::from_parts`] groups into arenas.
 //!    Subtree ownership is exclusive, so this phase is also lock-free.
 //!
 //! The paper's barrier between the phases (Alg. 2 line 2) is realized by
@@ -24,7 +25,7 @@
 
 use crate::config::IndexConfig;
 use crate::index::MessiIndex;
-use crate::node::{LeafEntry, SubtreeBuilder, TreeArena};
+use crate::node::{LeafEntry, Subtree, SubtreeBuilder};
 use crate::stats::BuildStats;
 use messi_sax::convert::{SaxConfig, SaxConverter};
 use messi_sax::root_key::{node_word_for_root_key, root_key};
@@ -34,8 +35,8 @@ use parking_lot::Mutex;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Rejects datasets whose positions would overflow the `u32` stored in
-/// every [`LeafEntry`]. Without this, `pos as u32` would silently wrap
+/// Rejects datasets whose positions would overflow the `u32` stored for
+/// every leaf entry. Without this, `pos as u32` would silently wrap
 /// on collections above 4.29 G series and the index would return wrong
 /// answers instead of failing loudly. Shared with
 /// [`MessiIndex::from_parts`], the other door an index can enter by.
@@ -111,7 +112,7 @@ pub fn build_index(dataset: Arc<Dataset>, config: &IndexConfig) -> (MessiIndex, 
     // them).
     let touched = buffers.touched_keys().to_vec();
     let tree_dispenser = Dispenser::new(touched.len());
-    let built: Mutex<Vec<(usize, TreeArena)>> = Mutex::new(Vec::with_capacity(touched.len()));
+    let built: Mutex<Vec<(usize, Subtree)>> = Mutex::new(Vec::with_capacity(touched.len()));
     std::thread::scope(|s| {
         for _ in 0..num_workers {
             let buffers = &buffers;
@@ -237,9 +238,9 @@ mod tests {
         let mut seen = vec![false; 500];
         for arena in index.arenas() {
             arena.for_each_leaf(&mut |leaf| {
-                for e in leaf.entries {
-                    assert!(!seen[e.pos as usize], "pos {} twice", e.pos);
-                    seen[e.pos as usize] = true;
+                for &pos in leaf.positions {
+                    assert!(!seen[pos as usize], "pos {pos} twice");
+                    seen[pos as usize] = true;
                 }
             });
         }
@@ -283,10 +284,10 @@ mod tests {
                 let mut b = Vec::new();
                 i1.root(key)
                     .unwrap()
-                    .for_each_leaf(&mut |l| a.extend(l.entries.iter().map(|e| e.pos)));
+                    .for_each_leaf(&mut |l| a.extend_from_slice(l.positions));
                 pair.root(key)
                     .unwrap()
-                    .for_each_leaf(&mut |l| b.extend(l.entries.iter().map(|e| e.pos)));
+                    .for_each_leaf(&mut |l| b.extend_from_slice(l.positions));
                 a.sort_unstable();
                 b.sort_unstable();
                 assert_eq!(a, b, "key {key} differs");
@@ -304,10 +305,10 @@ mod tests {
         assert!(stats.num_leaves >= 1000 / 16 / 4, "suspiciously few leaves");
         for &key in index.touched_keys() {
             index.root(key).unwrap().for_each_leaf(&mut |leaf| {
-                if leaf.entries.len() > 16 {
-                    let first = leaf.entries[0].sax;
+                if leaf.positions.len() > 16 {
+                    let first = leaf.entries().next().expect("non-empty").sax;
                     assert!(
-                        leaf.entries.iter().all(|e| e.sax == first),
+                        leaf.entries().all(|e| e.sax == first),
                         "oversized leaf must hold identical summaries only"
                     );
                 }
@@ -347,9 +348,10 @@ mod tests {
     #[test]
     fn subtree_storage_is_allocation_flat() {
         // The arena invariant made observable: each subtree's storage is
-        // exactly two tight allocations (node array + entry pool), so
-        // capacity equals length — no per-node or per-leaf allocations
-        // survive into the finished index.
+        // a fixed handful of tight allocations (node array, positions,
+        // symbol columns, run metadata), so capacity equals length — no
+        // per-node or per-leaf allocations survive into the finished
+        // index.
         let (index, _) = build_with(&IndexConfig::for_tests(), 800, 21);
         for (i, arena) in index.arenas().iter().enumerate() {
             assert!(
@@ -391,7 +393,7 @@ mod tests {
                 let mut v = Vec::new();
                 idx.root(key)
                     .unwrap()
-                    .for_each_leaf(&mut |l| v.extend(l.entries.iter().map(|e| e.pos)));
+                    .for_each_leaf(&mut |l| v.extend_from_slice(l.positions));
                 v.sort_unstable();
                 v
             };

@@ -10,8 +10,8 @@
 //!
 //! The context is tied to the index lifetime `'a` because the queues
 //! hold `LeafRun<'a>` views (spans of one or more member leaves of an
-//! arena leaf run — the packed entry slice plus the run's SoA symbol
-//! block) between the traversal and processing phases. The pooled
+//! arena leaf run — the position slice plus the run's symbol columns)
+//! between the traversal and processing phases. The pooled
 //! [`crate::ShardedExecutor`] keeps a `SlotPool` of them per shard and
 //! holds one per batch worker for its whole share of a batch (contexts
 //! are `Send`, so the lock-free checkout/checkin handoff moves them

@@ -525,20 +525,20 @@ fn scan_run<M: Metric, O: SearchObjective>(
     local: &mut LocalStats,
     results: &mut O::Local,
 ) {
-    let n = run.entries.len();
+    let n = run.positions.len();
     let mut lbs = [0.0f32; 8];
     let mut base = 0;
     while base < n {
         let len = (n - base).min(8);
         metric.leaf_lower_bounds(&run, base, len, &mut lbs);
-        for (lb, entry) in lbs[..len].iter().zip(&run.entries[base..base + len]) {
+        for (lb, &pos) in lbs[..len].iter().zip(&run.positions[base..base + len]) {
             local.lb += 1;
             let bound = objective.bound();
             if *lb >= bound {
                 continue;
             }
-            if let Some(d) = metric.entry_distance(entry, bound, local) {
-                if d < bound && objective.offer(results, d, entry.pos) {
+            if let Some(d) = metric.entry_distance(pos, bound, local) {
+                if d < bound && objective.offer(results, d, pos) {
                     local.bsf_updates += 1;
                 }
             }

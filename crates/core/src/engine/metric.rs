@@ -21,7 +21,7 @@
 //! either kernel returns the same answers.
 
 use crate::index::MessiIndex;
-use crate::node::{LeafEntry, LeafRun};
+use crate::node::LeafRun;
 use crate::stats::LocalStats;
 use messi_sax::mindist::{mindist_sq_node, mindist_sq_node_env, MindistTable};
 use messi_sax::word::NodeWord;
@@ -44,11 +44,12 @@ pub(crate) trait Metric: Sync {
     /// lines across every member leaf of the run.
     fn leaf_lower_bounds(&self, run: &LeafRun<'_>, base: usize, len: usize, out: &mut [f32; 8]);
 
-    /// Continues the cascade for one entry that survived the batched
-    /// mindist: any remaining lower bounds against `bound`, then the
-    /// early-abandoning real distance. Returns `None` when a lower bound
-    /// pruned the entry. Counts every evaluation in `local`.
-    fn entry_distance(&self, entry: &LeafEntry, bound: f32, local: &mut LocalStats) -> Option<f32>;
+    /// Continues the cascade for the series at `pos` after its entry
+    /// survived the batched mindist: any remaining lower bounds against
+    /// `bound`, then the early-abandoning real distance. Returns `None`
+    /// when a lower bound pruned the entry. Counts every evaluation in
+    /// `local`.
+    fn entry_distance(&self, pos: u32, bound: f32, local: &mut LocalStats) -> Option<f32>;
 }
 
 /// Euclidean distance with iSAX mindist lower bounds — the paper's
@@ -102,12 +103,12 @@ impl Metric for EuclideanMetric<'_> {
     }
 
     #[inline]
-    fn entry_distance(&self, entry: &LeafEntry, bound: f32, local: &mut LocalStats) -> Option<f32> {
+    fn entry_distance(&self, pos: u32, bound: f32, local: &mut LocalStats) -> Option<f32> {
         local.real += 1;
         Some(ed_sq_early_abandon_with(
             self.kernel,
             self.query,
-            self.index.dataset.series(entry.pos as usize),
+            self.index.dataset.series(pos as usize),
             bound,
         ))
     }
@@ -176,9 +177,9 @@ impl Metric for DtwMetric<'_> {
     }
 
     #[inline]
-    fn entry_distance(&self, entry: &LeafEntry, bound: f32, local: &mut LocalStats) -> Option<f32> {
+    fn entry_distance(&self, pos: u32, bound: f32, local: &mut LocalStats) -> Option<f32> {
         // Level 2: LB_Keogh on the raw candidate.
-        let candidate = self.index.dataset.series(entry.pos as usize);
+        let candidate = self.index.dataset.series(pos as usize);
         local.lb += 1;
         if lb_keogh_sq_early_abandon_with(self.kernel, self.env, candidate, bound) >= bound {
             return None;

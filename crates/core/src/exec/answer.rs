@@ -169,7 +169,7 @@ pub(crate) fn gather(objective: Objective, mut all: Vec<QueryAnswer>) -> Vec<Que
 
 /// The DTW part of a query summary: the Sakoe-Chiba band, the query's
 /// LB_Keogh envelope, and the PAAs of its lower and upper series.
-struct DtwSummary {
+pub(crate) struct DtwSummary {
     params: DtwParams,
     env: Envelope,
     paa_lower: Vec<f32>,
@@ -208,47 +208,50 @@ impl Summary {
             dtw,
         }
     }
+}
 
-    /// Scans the query's home leaf through the metric's own cascade —
-    /// early-abandoning ED, or LB_Keogh then banded DTW — against the
-    /// live `bound()`, offering every candidate below it. `counters`,
-    /// when given, records the scan's lower-bound and real distance
-    /// calculations (exact ED search deliberately leaves its seed scan
-    /// uncounted).
-    fn seed(
-        &self,
-        index: &MessiIndex,
-        query: &[f32],
-        kernel: Kernel,
-        counters: Option<&SharedQueryStats>,
-        bound: impl Fn() -> f32,
-        mut offer: impl FnMut(f32, u32),
-    ) {
-        let count = |counter: fn(&SharedQueryStats) -> &Counter| {
-            if let Some(stats) = counters {
-                counter(stats).inc();
+/// Scans the home-leaf positions `home` through the metric's own cascade
+/// — early-abandoning ED without `dtw`, else LB_Keogh then banded DTW —
+/// against the live `bound()`, offering every candidate below it: the
+/// one home-leaf scan behind query seeding and
+/// [`MessiIndex::seed_approximate`]. `counters`, when given, records the
+/// scan's lower-bound and real distance calculations (exact ED search
+/// deliberately leaves its seed scan uncounted).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn scan_home_leaf(
+    index: &MessiIndex,
+    query: &[f32],
+    home: &[u32],
+    dtw: Option<&DtwSummary>,
+    kernel: Kernel,
+    counters: Option<&SharedQueryStats>,
+    bound: impl Fn() -> f32,
+    mut offer: impl FnMut(f32, u32),
+) {
+    let count = |counter: fn(&SharedQueryStats) -> &Counter| {
+        if let Some(stats) = counters {
+            counter(stats).inc();
+        }
+    };
+    for &pos in home {
+        let series = index.dataset.series(pos as usize);
+        let b = bound();
+        let d = match dtw {
+            None => {
+                count(|s| &s.real_distance_calcs);
+                ed_sq_early_abandon_with(kernel, query, series, b)
+            }
+            Some(dtw) => {
+                count(|s| &s.lb_distance_calcs);
+                if lb_keogh_sq_early_abandon_with(kernel, &dtw.env, series, b) >= b {
+                    continue;
+                }
+                count(|s| &s.real_distance_calcs);
+                dtw_sq_early_abandon(query, series, dtw.params, b)
             }
         };
-        for e in index.home_leaf_entries(&self.sax, &self.paa) {
-            let series = index.dataset.series(e.pos as usize);
-            let b = bound();
-            let d = match &self.dtw {
-                None => {
-                    count(|s| &s.real_distance_calcs);
-                    ed_sq_early_abandon_with(kernel, query, series, b)
-                }
-                Some(dtw) => {
-                    count(|s| &s.lb_distance_calcs);
-                    if lb_keogh_sq_early_abandon_with(kernel, &dtw.env, series, b) >= b {
-                        continue;
-                    }
-                    count(|s| &s.real_distance_calcs);
-                    dtw_sq_early_abandon(query, series, dtw.params, b)
-                }
-            };
-            if d < b {
-                offer(d, e.pos);
-            }
+        if d < b {
+            offer(d, pos);
         }
     }
 }
@@ -299,6 +302,8 @@ pub(crate) fn answer<'a>(
     // ---- Seed the bound from the home leaf (Fig. 4a) ----
     let mut seed = (f32::INFINITY, u32::MAX);
     let mut initial_bsf = None;
+    let home = || index.home_leaf_positions(&summary.sax, &summary.paa);
+    let (dtw, kernel) = (summary.dtw.as_ref(), config.kernel);
     match spec.objective {
         Objective::Range { .. } => {}
         Objective::Knn { .. } => {
@@ -306,23 +311,18 @@ pub(crate) fn answer<'a>(
             let offer = |d, p| {
                 set.offer(d, global_pos(slot.offset, p));
             };
-            summary.seed(index, query, config.kernel, None, || set.bound(), offer);
+            let bound = || set.bound();
+            scan_home_leaf(index, query, home(), dtw, kernel, None, bound, offer);
             initial_bsf = Some(set.bound()).filter(|b| b.is_finite());
         }
         Objective::Exact | Objective::Approx { .. } => {
             // ng-approximate (δ = 0) answers from the home leaf alone.
             let ng = matches!(spec.objective, Objective::Approx { delta, .. } if delta == 0.0);
-            let counters = (summary.dtw.is_some() || ng).then_some(&stats);
+            let counters = (dtw.is_some() || ng).then_some(&stats);
             let best = Cell::new(seed);
             let offer = |d, p| best.set((d, p));
-            summary.seed(
-                index,
-                query,
-                config.kernel,
-                counters,
-                || best.get().0,
-                offer,
-            );
+            let bound = || best.get().0;
+            scan_home_leaf(index, query, home(), dtw, kernel, counters, bound, offer);
             seed = best.get();
             if ng {
                 return ng_answer(seed, slot.offset, &stats, t_start, config);

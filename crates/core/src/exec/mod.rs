@@ -28,7 +28,7 @@ mod answer;
 mod spec;
 
 pub use answer::QueryAnswer;
-pub(crate) use answer::{answer, gather, KnnSet};
+pub(crate) use answer::{answer, gather, scan_home_leaf, KnnSet};
 pub use spec::{MetricSpec, Objective, QuerySpec, Schedule};
 
 // Unit tests of the pooled executor, kept beside the query path they

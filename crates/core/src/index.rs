@@ -4,7 +4,8 @@ use crate::config::{IndexConfig, QueryConfig};
 use crate::engine::{QueryContext, ShardSlot};
 use crate::exec::{QueryAnswer, QuerySpec};
 use crate::node::{
-    assemble_forest, forest_groups, LeafEntry, NodeId, NodeRecord, SubtreeBuilder, TreeArena,
+    assemble_forest, forest_groups, LeafEntry, NodeId, NodeRecord, Subtree, SubtreeBuilder,
+    TreeArena,
 };
 use crate::stats::{BuildStats, QueryStats};
 use messi_sax::convert::{SaxConfig, SaxConverter};
@@ -12,7 +13,6 @@ use messi_sax::mindist::mindist_sq_node;
 use messi_sax::root_key::{node_word_for_root_key, root_key};
 use messi_sax::word::SaxWord;
 use messi_series::distance::dtw::DtwParams;
-use messi_series::distance::euclidean::ed_sq_early_abandon_with;
 use messi_series::distance::Kernel;
 use messi_series::Dataset;
 use std::sync::Arc;
@@ -24,8 +24,8 @@ pub(crate) const EMPTY_SLOT: u32 = u32::MAX;
 ///
 /// Holds (an `Arc` to) the raw dataset, the iSAX configuration, and the
 /// index tree: up to 2^w root subtrees, each flattened into a
-/// [`TreeArena`] (contiguous preorder node records + one packed
-/// leaf-entry pool — see [`crate::node`]). Built with
+/// [`TreeArena`] (contiguous preorder node records + the leaves'
+/// positions and symbol columns — see [`crate::node`]). Built with
 /// [`MessiIndex::build`]; queried with [`MessiIndex::search`] (exact
 /// 1-NN), [`MessiIndex::search_knn`], [`MessiIndex::search_range`],
 /// [`MessiIndex::search_approximate_bounded`] (δ-ε-approximate 1-NN),
@@ -64,19 +64,20 @@ impl MessiIndex {
         crate::build::build_index(dataset, config)
     }
 
-    /// Assembles an index from externally built root subtrees.
+    /// Assembles an index from separately built root subtrees.
     ///
     /// This exists for the ParIS baseline (`messi-baselines`), which
     /// shares the tree *structure* with MESSI but constructs it with its
     /// own (locked-buffer) algorithm, and for [`crate::persist`]'s
-    /// snapshot loader. `subtrees` pairs each root key with its arena, in
-    /// any order; empty keys are simply absent.
+    /// snapshot loader. `subtrees` pairs each root key with its
+    /// [`Subtree`], in any order; empty keys are simply absent.
     ///
     /// This is the single grouping chokepoint: consecutive sparse
     /// subtrees are regrouped here into forest arenas by the
     /// deterministic rule shared with validation, so every construction
     /// path (parallel build, baselines, snapshot load) produces the same
-    /// forests for the same per-key trees.
+    /// forests for the same per-key trees, and each entry is transposed
+    /// into its arena's symbol columns once, here.
     ///
     /// # Panics
     ///
@@ -86,7 +87,7 @@ impl MessiIndex {
     pub fn from_parts(
         dataset: Arc<Dataset>,
         config: IndexConfig,
-        mut subtrees: Vec<(usize, TreeArena)>,
+        mut subtrees: Vec<(usize, Subtree)>,
     ) -> Self {
         config.validate(dataset.series_len());
         crate::build::assert_positions_fit(&dataset);
@@ -100,28 +101,16 @@ impl MessiIndex {
             assert!(touched.last() != Some(&key), "subtree {key} provided twice");
             touched.push(key);
         }
-        let counts: Vec<usize> = subtrees.iter().map(|(_, a)| a.num_entries()).collect();
+        let counts: Vec<usize> = subtrees.iter().map(|(_, s)| s.num_entries()).collect();
         let groups = forest_groups(&counts);
         let mut arenas = Vec::with_capacity(groups.len());
         let mut remaining = subtrees.into_iter();
         for range in groups {
-            let group: Vec<(usize, TreeArena)> = remaining.by_ref().take(range.len()).collect();
+            let group: Vec<(usize, Subtree)> = remaining.by_ref().take(range.len()).collect();
             for &(key, _) in &group {
                 slots[key] = arenas.len() as u32;
             }
-            let arena = if group.len() == 1 {
-                group.into_iter().next().expect("one member").1
-            } else {
-                let parts = group
-                    .into_iter()
-                    .map(|(key, arena)| {
-                        let (nodes, entries) = arena.into_raw();
-                        (key, nodes, entries)
-                    })
-                    .collect();
-                assemble_forest(parts, config.segments)
-            };
-            arenas.push(arena);
+            arenas.push(assemble_forest(group, config.segments));
         }
         Self {
             scales: messi_sax::mindist::segment_scales(sax_config),
@@ -141,7 +130,7 @@ impl MessiIndex {
     ///
     /// Only root subtrees that receive new entries are rebuilt (through
     /// a [`SubtreeBuilder`], exactly as at build time); every untouched
-    /// subtree's nodes and packed entries are carried over verbatim, and
+    /// subtree's nodes and entries are carried over verbatim, and
     /// the result is reassembled by [`MessiIndex::from_parts`] so forest
     /// grouping, leaf runs, and SoA columns keep working identically to
     /// a fresh build over the grown collection.
@@ -201,31 +190,31 @@ impl MessiIndex {
         }
 
         let mut builder = SubtreeBuilder::new(segments, self.config.leaf_capacity);
-        let mut subtrees: Vec<(usize, TreeArena)> =
+        let mut subtrees: Vec<(usize, Subtree)> =
             Vec::with_capacity(self.touched.len() + fresh.len());
         for &key in &self.touched {
             let (nodes, entries) = self.key_raw_parts(key).expect("touched key has a subtree");
             match fresh.remove(&key) {
-                // Untouched subtree: re-wrap the existing records and
-                // entries verbatim.
+                // Untouched subtree: carry the existing records and
+                // entries over unchanged.
                 None => {
-                    let arena = TreeArena::from_raw(nodes, entries.to_vec())
-                        .map_err(IngestError::Corrupt)?;
-                    subtrees.push((key, arena));
+                    let subtree =
+                        Subtree::from_raw(nodes, entries).map_err(IngestError::Corrupt)?;
+                    subtrees.push((key, subtree));
                 }
                 // Touched subtree: rebuild from old + new entries.
                 Some(new_entries) => {
-                    let arena = builder.build_subtree(
+                    let subtree = builder.build_subtree(
                         node_word_for_root_key(key, segments),
-                        entries.iter().copied().chain(new_entries),
+                        entries.into_iter().chain(new_entries),
                     );
-                    subtrees.push((key, arena));
+                    subtrees.push((key, subtree));
                 }
             }
         }
         for (key, entries) in fresh {
-            let arena = builder.build_subtree(node_word_for_root_key(key, segments), entries);
-            subtrees.push((key, arena));
+            let subtree = builder.build_subtree(node_word_for_root_key(key, segments), entries);
+            subtrees.push((key, subtree));
         }
         Ok(Self::from_parts(grown, self.config.clone(), subtrees))
     }
@@ -305,9 +294,10 @@ impl MessiIndex {
     }
 
     /// `key`'s subtree as standalone raw parts (rebased node records +
-    /// pool entry slice) — what [`crate::persist`] serializes, sliced
-    /// back out of the forest so the on-disk format stays per-key.
-    pub(crate) fn key_raw_parts(&self, key: usize) -> Option<(Vec<NodeRecord>, &[LeafEntry])> {
+    /// its entries, summaries gathered from the columns) — what
+    /// [`crate::persist`] serializes, sliced back out of the forest so
+    /// the on-disk format stays per-key.
+    pub(crate) fn key_raw_parts(&self, key: usize) -> Option<(Vec<NodeRecord>, Vec<LeafEntry>)> {
         let (arena, root) = self.key_root(key)?;
         Some(arena.key_subtree_raw(root))
     }
@@ -317,7 +307,7 @@ impl MessiIndex {
         self.arenas.iter().map(TreeArena::num_leaves).sum()
     }
 
-    /// Total entries stored across all leaf pools (equals
+    /// Total entries stored across all arenas (equals
     /// [`MessiIndex::num_series`] for a valid index).
     pub fn num_entries(&self) -> usize {
         self.arenas.iter().map(TreeArena::num_entries).sum()
@@ -340,7 +330,9 @@ impl MessiIndex {
         self.arenas.iter().map(TreeArena::node_bytes).sum()
     }
 
-    /// Bytes held by all leaf-entry pools.
+    /// Bytes that store the leaf entries across all arenas: positions
+    /// plus symbol columns, 4 + 16 bytes per entry on an allocation-flat
+    /// index.
     pub fn entry_storage_bytes(&self) -> usize {
         self.arenas.iter().map(TreeArena::entry_bytes).sum()
     }
@@ -616,10 +608,11 @@ impl MessiIndex {
 
     /// Low-level ng-approximate search for callers that already computed
     /// the query's iSAX word and PAA: scans the home leaf
-    /// ([`MessiIndex::home_leaf_entries`]) with the early-abandoning
-    /// Euclidean kernel and returns `(squared distance, position)` — the
-    /// initial BSF of Alg. 5. [`MessiIndex::search_approximate`] and the
-    /// ParIS baselines answer through it.
+    /// ([`MessiIndex::home_leaf_positions`]) with the query path's
+    /// uncounted early-abandoning Euclidean seed scan and returns
+    /// `(squared distance, position)` — the initial BSF of Alg. 5.
+    /// [`MessiIndex::search_approximate`] and the ParIS baselines answer
+    /// through it.
     #[doc(hidden)]
     pub fn seed_approximate(
         &self,
@@ -628,18 +621,16 @@ impl MessiIndex {
         query_paa: &[f32],
         kernel: Kernel,
     ) -> (f32, u32) {
-        let mut best = (f32::INFINITY, u32::MAX);
-        for e in self.home_leaf_entries(query_sax, query_paa) {
-            let series = self.dataset.series(e.pos as usize);
-            let d = ed_sq_early_abandon_with(kernel, query, series, best.0);
-            if d < best.0 {
-                best = (d, e.pos);
-            }
-        }
-        best
+        let best = std::cell::Cell::new((f32::INFINITY, u32::MAX));
+        let home = self.home_leaf_positions(query_sax, query_paa);
+        let bound = || best.get().0;
+        crate::exec::scan_home_leaf(self, query, home, None, kernel, None, bound, |d, p| {
+            best.set((d, p))
+        });
+        best.get()
     }
 
-    /// The packed entries of the query's *home leaf*: one descent from
+    /// The series positions of the query's *home leaf*: one descent from
     /// the query's root subtree following its summary bits. When the home
     /// subtree is empty the walk falls back to the subtree with the
     /// smallest node mindist and descends greedily by mindist — the
@@ -647,7 +638,7 @@ impl MessiIndex {
     /// walk in the repository: ED and DTW seeding and all approximate
     /// modes scan exactly this slice (each with its own distance
     /// cascade).
-    pub(crate) fn home_leaf_entries(&self, query_sax: &SaxWord, query_paa: &[f32]) -> &[LeafEntry] {
+    pub(crate) fn home_leaf_positions(&self, query_sax: &SaxWord, query_paa: &[f32]) -> &[u32] {
         let segments = self.sax_config.segments;
         let key = root_key(query_sax, segments);
         if let Some(arena) = self.root(key) {
@@ -656,7 +647,7 @@ impl MessiIndex {
             // (whose refined bits are bits all member keys share) and
             // the per-key subtree alike.
             let id = arena.descend_by_sax(TreeArena::ROOT, query_sax, segments);
-            return arena.leaf_entries(id);
+            return arena.leaf_positions(id);
         }
         // Empty home subtree: greedy-best entry point instead.
         let arena = self
@@ -693,7 +684,7 @@ impl MessiIndex {
                 }
             };
         }
-        arena.leaf_entries(id)
+        arena.leaf_positions(id)
     }
 }
 
@@ -730,7 +721,11 @@ mod tests {
         // sizes are plausible, fill factor lands in (0, 1].
         assert_eq!(index.num_entries(), 400);
         assert!(index.node_storage_bytes() > 0);
-        assert!(index.entry_storage_bytes() >= 400 * std::mem::size_of::<LeafEntry>());
+        assert!(index.arenas().iter().all(TreeArena::allocation_flat));
+        assert_eq!(
+            index.entry_storage_bytes(),
+            400 * (std::mem::size_of::<u32>() + messi_sax::MAX_SEGMENTS)
+        );
         let fill = index.leaf_fill_factor();
         assert!(fill > 0.0 && fill <= 1.0, "fill factor {fill}");
     }

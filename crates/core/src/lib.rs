@@ -33,8 +33,8 @@
 //! * [`node`] — arena-backed tree storage: root fan-out ≤ 2^w, binary
 //!   inner nodes, leaves holding `(iSAX summary, position)` pairs
 //!   (§II-B, Fig. 1d), each root subtree flattened into one preorder
-//!   node array plus one packed leaf-entry pool (two allocations per
-//!   subtree).
+//!   node array plus the leaves' position array and run-grouped symbol
+//!   columns (each summary stored once).
 //! * [`build`] — two-phase parallel construction (Alg. 1–4, Fig. 3).
 //! * [`index`] — the [`MessiIndex`] handle and approximate search.
 //! * [`persist`] — versioned, checksummed index snapshots: save a built

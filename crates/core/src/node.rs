@@ -13,32 +13,37 @@
 //! one heap allocation per node (`Box<Node>`) and one `Vec` per leaf, a
 //! whole root subtree lives in a [`TreeArena`] — one contiguous node
 //! array in preorder (parent before children, left subtree before right)
-//! plus one packed [`LeafEntry`] pool in the same leaf order, plus a
-//! struct-of-arrays transposition of the pool's SAX symbols that the
-//! batched mindist cascade streams cache-line by cache-line. Inner-node
-//! traversal walks an index-linked flat array, leaf scans walk flat
-//! slices, and `for_each_leaf` is a linear sweep of the node array. The
-//! flat layout is also what makes the index serializable
-//! ([`crate::persist`]) — the SoA pool and all run metadata are derived
-//! data, rebuilt rather than stored.
+//! plus, in the same leaf order, one position array and the summaries'
+//! symbols stored segment-major, the layout the batched mindist cascade
+//! streams cache-line by cache-line. Those symbol columns are the *only*
+//! stored copy of the leaf summaries: query-time code reads bounds from
+//! the columns and positions from the position array, and the cold paths
+//! (validation, snapshot writing, regrouping) gather a [`SaxWord`] back
+//! out through [`LeafRef::entries`]. Inner-node traversal walks an
+//! index-linked flat array, leaf scans walk flat slices, and
+//! `for_each_leaf` is a linear sweep of the node array. The flat layout
+//! is also what makes the index serializable ([`crate::persist`]); the
+//! run metadata is derived data, rebuilt rather than stored.
 //!
-//! The SoA transposition is grouped into **leaf runs**: maximal groups
+//! The columns are grouped into **leaf runs**: maximal groups
 //! of consecutive leaves (in pool order — siblings and cousins alike)
 //! whose combined entry count stays within `RUN_TARGET_ENTRIES`. Each
 //! run owns one segment-major symbol block, so the batched mindist
 //! kernel can scan *several* small leaves as one contiguous 8-wide
 //! stream instead of falling into the partial-chunk tail on every
 //! ~6-entry paper-default leaf. Runs are derived deterministically from
-//! the node/entry layout alone (no configuration input), so a
-//! deserialized arena rebuilds byte-identical run metadata — the
-//! snapshot format is unchanged.
+//! the node layout alone (no configuration input), so a deserialized
+//! arena rebuilds byte-identical run metadata — the snapshot format is
+//! unchanged.
 //!
 //! Construction still follows the paper's incremental protocol (Alg. 4:
 //! insert, split overflowing leaves): [`SubtreeBuilder`] runs exactly the
 //! old insert/split algorithm against reusable index-linked scratch, then
-//! flattens into the arena with exact-capacity allocations. One builder
-//! serves many subtrees back to back, so its own scratch amortizes to
-//! zero.
+//! flattens into a [`Subtree`] (preorder records + pool-ordered entries)
+//! with exact-capacity allocations. One builder serves many subtrees
+//! back to back, so its own scratch amortizes to zero. Subtrees become
+//! arenas only when the index groups them (see below), so every entry is
+//! transposed into symbol columns exactly once.
 //!
 //! ## Forest arenas
 //!
@@ -66,7 +71,10 @@ use messi_sax::split::choose_split;
 use messi_sax::word::{NodeWord, SaxWord};
 use messi_sax::MAX_SEGMENTS;
 
-/// A `(iSAX summary, series position)` pair — the unit the index stores.
+/// A `(iSAX summary, series position)` pair: what [`SubtreeBuilder`]
+/// inserts and the snapshot decoder reads. A finished [`TreeArena`]
+/// stores the two halves apart (position array + symbol columns);
+/// [`LeafRef::entries`] gathers them back into this record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LeafEntry {
     /// Full-cardinality iSAX summary of the series.
@@ -123,30 +131,25 @@ pub(crate) fn forest_groups(counts: &[usize]) -> Vec<std::ops::Range<usize>> {
     groups
 }
 
-/// Assembles one arena from one or more per-key subtrees given as raw
-/// parts `(key, preorder node records, pool entries)` with ascending
-/// keys and subtree-local ids/offsets. A single part becomes a plain
-/// per-key arena; several parts are joined under the synthetic iSAX
-/// trie described in the module docs.
-pub(crate) fn assemble_forest(
-    parts: Vec<(usize, Vec<NodeRecord>, Vec<LeafEntry>)>,
-    segments: usize,
-) -> TreeArena {
+/// Assembles one arena from one or more per-key subtrees with ascending
+/// keys. A single subtree becomes a plain per-key arena; several are
+/// joined under the synthetic iSAX trie described in the module docs.
+pub(crate) fn assemble_forest(parts: Vec<(usize, Subtree)>, segments: usize) -> TreeArena {
     debug_assert!(parts.windows(2).all(|w| w[0].0 < w[1].0));
     if parts.len() == 1 {
-        let (_, nodes, entries) = parts.into_iter().next().expect("one part");
-        return TreeArena::assemble(nodes, entries);
+        let (_, subtree) = parts.into_iter().next().expect("one part");
+        return subtree.into_arena();
     }
     // A path-compressed binary trie over k distinct keys has exactly
     // k - 1 internal nodes.
-    let total_nodes = parts.iter().map(|p| p.1.len()).sum::<usize>() + (parts.len() - 1);
-    let total_entries = parts.iter().map(|p| p.2.len()).sum::<usize>();
+    let total_nodes = parts.iter().map(|p| p.1.nodes.len()).sum::<usize>() + (parts.len() - 1);
+    let total_entries = parts.iter().map(|p| p.1.num_entries()).sum::<usize>();
     let mut nodes = Vec::with_capacity(total_nodes);
     let mut pool = Vec::with_capacity(total_entries);
     splice_forest(&parts, 0, parts.len(), segments, &mut nodes, &mut pool);
     debug_assert_eq!(nodes.len(), total_nodes);
     debug_assert_eq!(pool.len(), total_entries);
-    TreeArena::assemble(nodes, pool)
+    TreeArena::assemble(nodes, &pool)
 }
 
 /// Recursive splice step of [`assemble_forest`] over `parts[lo..hi]`:
@@ -154,7 +157,7 @@ pub(crate) fn assemble_forest(
 /// current output position, or a synthetic inner node splitting the key
 /// range on its first disagreeing segment. Returns the emitted root id.
 fn splice_forest(
-    parts: &[(usize, Vec<NodeRecord>, Vec<LeafEntry>)],
+    parts: &[(usize, Subtree)],
     lo: usize,
     hi: usize,
     segments: usize,
@@ -164,8 +167,8 @@ fn splice_forest(
     if hi - lo == 1 {
         let base = nodes.len() as u32;
         let pool_base = pool.len() as u32;
-        let (_, part_nodes, part_entries) = &parts[lo];
-        nodes.extend(part_nodes.iter().map(|n| {
+        let part = &parts[lo].1;
+        nodes.extend(part.nodes.iter().map(|n| {
             let mut rec = *n;
             if rec.tag == LEAF_TAG {
                 rec.lo += pool_base;
@@ -176,7 +179,7 @@ fn splice_forest(
             }
             rec
         }));
-        pool.extend_from_slice(part_entries);
+        pool.extend_from_slice(&part.entries);
         return base;
     }
     // Which key bits all members of the range share. Segment i's key bit
@@ -234,6 +237,127 @@ pub(crate) struct NodeRecord {
     pub(crate) hi: u32,
 }
 
+/// One finished per-key subtree before arena assembly: preorder node
+/// records plus its entries in pool order. [`SubtreeBuilder::finish`]
+/// emits it, the snapshot decoder and live ingest rebuild it from raw
+/// parts, and [`crate::index::MessiIndex::from_parts`] groups subtrees
+/// into arenas — so each entry is transposed into symbol columns
+/// exactly once, at assembly.
+#[derive(Debug)]
+pub struct Subtree {
+    nodes: Vec<NodeRecord>,
+    entries: Vec<LeafEntry>,
+}
+
+impl Subtree {
+    /// Number of series in the subtree.
+    pub fn num_entries(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Assembles the subtree into a standalone arena.
+    pub fn into_arena(self) -> TreeArena {
+        TreeArena::assemble(self.nodes, &self.entries)
+    }
+
+    /// Deepest tree a legitimate build can produce: every inner→child
+    /// step refines exactly one bit of one segment, so a root-to-leaf
+    /// path has at most `MAX_SEGMENTS × CARD_BITS` splits.
+    const MAX_DEPTH: usize = messi_sax::MAX_SEGMENTS * messi_sax::CARD_BITS + 1;
+
+    /// A subtree from raw parts (the deserialization path), verifying
+    /// the structural invariants the arena accessors rely on: the
+    /// records must form exactly one preorder tree — a left-then-right
+    /// depth-first walk from the root enumerates ids `0..n` in ascending
+    /// order, which rules out unreachable nodes, shared children, and
+    /// cycles in one pass — no deeper than any legitimate build can
+    /// produce, whose leaves partition the entry pool left to right.
+    ///
+    /// # Errors
+    ///
+    /// A human-readable description of the first violated invariant.
+    pub(crate) fn from_raw(
+        nodes: Vec<NodeRecord>,
+        entries: Vec<LeafEntry>,
+    ) -> Result<Self, String> {
+        if nodes.is_empty() {
+            return Err("subtree with zero nodes".into());
+        }
+        let nn = nodes.len() as u64;
+        let mut covered = 0u64; // leaves partition the pool in order
+        for (id, n) in nodes.iter().enumerate() {
+            if n.tag == LEAF_TAG {
+                if u64::from(n.lo) != covered {
+                    return Err(format!(
+                        "leaf {id}: pool range starts at {} not {covered}",
+                        n.lo
+                    ));
+                }
+                if n.hi < n.lo || entries.len() < n.hi as usize {
+                    return Err(format!(
+                        "leaf {id}: pool range {}..{} out of bounds",
+                        n.lo, n.hi
+                    ));
+                }
+                covered = u64::from(n.hi);
+            } else {
+                if usize::from(n.tag) >= messi_sax::MAX_SEGMENTS {
+                    return Err(format!(
+                        "inner node {id}: split segment {} out of range",
+                        n.tag
+                    ));
+                }
+                if u64::from(n.hi) <= u64::from(n.lo) || u64::from(n.hi) >= nn {
+                    return Err(format!(
+                        "inner node {id}: children {}/{} out of order or bounds",
+                        n.lo, n.hi
+                    ));
+                }
+            }
+        }
+        if covered != entries.len() as u64 {
+            return Err(format!(
+                "leaves cover {covered} pool entries of {}",
+                entries.len()
+            ));
+        }
+        // Preorder tree-ness, checked by one explicit-stack DFS: visiting
+        // left-then-right must enumerate ids in exactly ascending order.
+        // A node with two parents gets visited twice (id ≠ expected), an
+        // unreachable node leaves the count short, and the depth cap
+        // keeps the recursive traversals (height, engine descent) within
+        // sane stack bounds for files no honest build could have written.
+        let mut stack: Vec<(u32, usize)> = vec![(0, 1)];
+        let mut expect = 0u64;
+        while let Some((id, depth)) = stack.pop() {
+            if u64::from(id) != expect {
+                return Err(format!(
+                    "node {id} visited out of preorder (expected {expect})"
+                ));
+            }
+            if depth > Self::MAX_DEPTH {
+                return Err(format!(
+                    "tree deeper than any build can produce (> {})",
+                    Self::MAX_DEPTH
+                ));
+            }
+            expect += 1;
+            let n = &nodes[id as usize];
+            if n.tag != LEAF_TAG {
+                stack.push((n.hi, depth + 1));
+                stack.push((n.lo, depth + 1));
+            }
+        }
+        if expect != nn {
+            return Err(format!(
+                "{} of {nn} nodes unreachable from the root",
+                nn - expect
+            ));
+        }
+        Ok(Self { nodes, entries })
+    }
+}
+
 /// The `[lo, hi)` entry-pool span of one leaf run. Runs partition the
 /// pool left to right, exactly like the leaves they group.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -242,24 +366,43 @@ pub(crate) struct RunSpan {
     pub(crate) hi: u32,
 }
 
-/// Borrowed view of one leaf: its covering word, its packed entries, and
-/// its position inside its run's segment-major symbol block.
+/// Borrowed view of one leaf: its covering word, its series positions,
+/// and its place inside its run's segment-major symbol block.
 #[derive(Debug, Clone, Copy)]
 pub struct LeafRef<'a> {
     /// Variable-cardinality summary covering everything in this leaf.
     pub word: &'a NodeWord,
-    /// The stored `(summary, position)` pairs, contiguous in the pool.
-    pub entries: &'a [LeafEntry],
+    /// Dataset positions of the leaf's series, contiguous in pool order.
+    pub positions: &'a [u32],
     /// The segment-major symbol block of the leaf's *run*: `MAX_SEGMENTS`
-    /// columns of `stride` bytes each. This leaf's symbols sit at
-    /// `cols[s * stride + base + j] == entries[j].sax.symbol(s)` — the
-    /// transposed copy the mindist cascade streams instead of striding
-    /// over interleaved [`SaxWord`]s.
+    /// columns of `stride` bytes each. Segment `s` of the summary of
+    /// series `positions[j]` sits at `cols[s * stride + base + j]` — the
+    /// one stored copy of the leaf summaries, laid out so the mindist
+    /// cascade streams each segment's symbols sequentially.
     pub cols: &'a [u8],
     /// Entry count of the whole run (the column stride of `cols`).
     pub stride: usize,
     /// Offset of this leaf's first entry within the run.
     pub base: usize,
+}
+
+impl LeafRef<'_> {
+    /// The leaf's `(summary, position)` pairs in pool order, each
+    /// summary gathered back out of the run's columns — for the cold
+    /// paths (validation, the snapshot writer, regrouping) that need a
+    /// whole [`SaxWord`]; query code reads the columns directly.
+    pub fn entries(&self) -> impl Iterator<Item = LeafEntry> + '_ {
+        self.positions.iter().enumerate().map(|(j, &pos)| {
+            let mut symbols = [0u8; MAX_SEGMENTS];
+            for (s, sym) in symbols.iter_mut().enumerate() {
+                *sym = self.cols[s * self.stride + self.base + j];
+            }
+            LeafEntry {
+                sax: SaxWord::new(&symbols),
+                pos,
+            }
+        })
+    }
 }
 
 /// The unit a search worker scans: one or more *consecutive* leaves of
@@ -268,18 +411,18 @@ pub struct LeafRef<'a> {
 /// the old per-leaf `LeafSlice`).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct LeafRun<'a> {
-    /// The spanned leaves' `(summary, position)` pairs, contiguous.
-    pub(crate) entries: &'a [LeafEntry],
+    /// The spanned leaves' series positions, contiguous.
+    pub(crate) positions: &'a [u32],
     /// The whole run's symbol block (see [`LeafRef::cols`]).
     pub(crate) cols: &'a [u8],
     /// Entry count of the whole run (column stride of `cols`).
     pub(crate) stride: u32,
-    /// Offset of `entries[0]` within the run.
+    /// Offset of `positions[0]` within the run.
     pub(crate) base: u32,
     /// Pool-absolute entry boundaries of the member leaves:
     /// `leaf_count() + 1` cumulative offsets, so member leaf `i` holds
     /// entries `starts[i] - starts[0] .. starts[i+1] - starts[0]` of
-    /// `entries`.
+    /// `positions`.
     pub(crate) starts: &'a [u32],
 }
 
@@ -298,35 +441,34 @@ impl<'a> LeafRun<'a> {
         debug_assert!(k <= self.leaf_count());
         let cut = (self.starts[k] - self.starts[0]) as usize;
         LeafRun {
-            entries: &self.entries[..cut],
+            positions: &self.positions[..cut],
             starts: &self.starts[..=k],
             ..*self
         }
     }
 }
 
-/// All derived (never serialized) per-arena layout: the SoA symbol pool
-/// plus the leaf-run metadata. Rebuilt identically at build time and at
-/// load time by [`derive_layout`].
+/// The derived (never serialized) leaf-run metadata of an arena.
+/// Rebuilt identically at build time and at load time by
+/// [`derive_layout`].
 #[derive(Debug)]
 struct DerivedLayout {
-    cols: Vec<u8>,
     leaf_starts: Vec<u32>,
     leaf_ordinals: Vec<u32>,
     runs: Vec<RunSpan>,
     run_of: Vec<u32>,
 }
 
-/// Derives the run partition and SoA symbol pool for a finished
-/// node/entry layout. Deterministic and configuration-free: the greedy
-/// partition walks leaves in pool order, opening a new run whenever
-/// adding the next non-empty leaf would push the current run past
-/// [`RUN_TARGET_ENTRIES`] (empty leaves always join the current run; an
-/// oversized leaf gets a run of its own). Shared by
-/// [`SubtreeBuilder::finish`] and [`TreeArena::from_raw`], so snapshots
-/// round-trip to byte-identical metadata; every vector is allocated once
-/// at exact capacity.
-fn derive_layout(nodes: &[NodeRecord], entries: &[LeafEntry]) -> DerivedLayout {
+/// Derives the run partition for a finished node layout over
+/// `num_entries` pool entries. Deterministic and configuration-free: the
+/// greedy partition walks leaves in pool order, opening a new run
+/// whenever adding the next non-empty leaf would push the current run
+/// past [`RUN_TARGET_ENTRIES`] (empty leaves always join the current
+/// run; an oversized leaf gets a run of its own). Shared by every
+/// assembly path and by [`TreeArena::check_derived_layout`], so
+/// snapshots round-trip to byte-identical metadata; every vector is
+/// allocated once at exact capacity.
+fn derive_layout(nodes: &[NodeRecord], num_entries: usize) -> DerivedLayout {
     let num_leaves = nodes.iter().filter(|n| n.tag == LEAF_TAG).count();
     let mut leaf_starts = Vec::with_capacity(num_leaves + 1);
     let mut leaf_ordinals = Vec::with_capacity(nodes.len());
@@ -338,7 +480,7 @@ fn derive_layout(nodes: &[NodeRecord], entries: &[LeafEntry]) -> DerivedLayout {
             leaf_ordinals.push(NIL);
         }
     }
-    leaf_starts.push(entries.len() as u32);
+    leaf_starts.push(num_entries as u32);
 
     // Greedy partition, run twice — once to count runs, once to fill the
     // exact-capacity vectors (the decision depends only on leaf lengths,
@@ -366,25 +508,7 @@ fn derive_layout(nodes: &[NodeRecord], entries: &[LeafEntry]) -> DerivedLayout {
         run_of.push(runs.len() as u32 - 1);
     });
 
-    // One segment-major symbol block per run: inside run `[lo, hi)`
-    // (n = hi − lo entries), column `s` occupies
-    // `[lo·16 + s·n, lo·16 + (s+1)·n)`. All MAX_SEGMENTS columns are
-    // materialized regardless of the configured segment count, so the
-    // layout needs no config to decode.
-    let mut cols = vec![0u8; entries.len() * MAX_SEGMENTS];
-    for r in &runs {
-        let (lo, hi) = (r.lo as usize, r.hi as usize);
-        let n = hi - lo;
-        let block = &mut cols[lo * MAX_SEGMENTS..hi * MAX_SEGMENTS];
-        for (j, e) in entries[lo..hi].iter().enumerate() {
-            for (s, &sym) in e.sax.symbols().iter().enumerate() {
-                block[s * n + j] = sym;
-            }
-        }
-    }
-
     DerivedLayout {
-        cols,
         leaf_starts,
         leaf_ordinals,
         runs,
@@ -393,26 +517,27 @@ fn derive_layout(nodes: &[NodeRecord], entries: &[LeafEntry]) -> DerivedLayout {
 }
 
 /// A root subtree flattened into contiguous storage: node records in
-/// preorder, one packed leaf-entry pool, and the pool's run-grouped
-/// struct-of-arrays symbol transposition plus run metadata.
+/// preorder, the leaves' series positions in pool order, the leaves'
+/// summaries as run-grouped segment-major symbol columns, and the run
+/// metadata.
 ///
 /// Node accessors take a [`NodeId`]; traversal starts at
 /// [`TreeArena::ROOT`] and follows [`TreeArena::children`]. Leaves are in
 /// depth-first (left-to-right) order both in the node array and in the
 /// pool, so [`TreeArena::for_each_leaf`] is a linear sweep.
 ///
-/// The `cols` pool mirrors `entries` segment-major *per leaf run* (see
-/// the module docs and `derive_layout`): the run with pool span
-/// `[lo, hi)` (n = hi − lo entries) owns the byte block `[lo·16, hi·16)`,
-/// inside which column `s` occupies `[lo·16 + s·n, lo·16 + (s+1)·n)`.
-/// The batched mindist kernel thus reads each segment's symbols across a
-/// whole run of small leaves as one sequential stretch of cache lines.
-/// `cols` and all run metadata are derived data — rebuilt on load, never
-/// serialized.
+/// Each pool entry is stored once: its position in `positions`, its
+/// summary in `cols`, segment-major *per leaf run* (see the module
+/// docs): the run with pool span `[lo, hi)` (n = hi − lo entries) owns
+/// the byte block `[lo·16, hi·16)`, inside which column `s` occupies
+/// `[lo·16 + s·n, lo·16 + (s+1)·n)`. The batched mindist kernel thus
+/// reads each segment's symbols across a whole run of small leaves as
+/// one sequential stretch of cache lines. The run metadata is derived
+/// data — rebuilt on load, never serialized.
 #[derive(Debug)]
 pub struct TreeArena {
     nodes: Vec<NodeRecord>,
-    entries: Vec<LeafEntry>,
+    positions: Vec<u32>,
     cols: Vec<u8>,
     /// Pool-absolute entry offset of each leaf in ordinal (pool) order,
     /// plus a trailing `num_entries` sentinel.
@@ -430,12 +555,28 @@ impl TreeArena {
     /// The root node's id (arenas are built root-first).
     pub const ROOT: NodeId = 0;
 
-    fn assemble(nodes: Vec<NodeRecord>, entries: Vec<LeafEntry>) -> Self {
-        let layout = derive_layout(&nodes, &entries);
+    /// Stores `entries` (in pool order) split into the position array
+    /// and the run-grouped symbol columns of `nodes`' run partition.
+    fn assemble(nodes: Vec<NodeRecord>, entries: &[LeafEntry]) -> Self {
+        let layout = derive_layout(&nodes, entries.len());
+        // All MAX_SEGMENTS columns are materialized regardless of the
+        // configured segment count, so the layout needs no config to
+        // decode.
+        let mut cols = vec![0u8; entries.len() * MAX_SEGMENTS];
+        for r in &layout.runs {
+            let (lo, hi) = (r.lo as usize, r.hi as usize);
+            let n = hi - lo;
+            let block = &mut cols[lo * MAX_SEGMENTS..hi * MAX_SEGMENTS];
+            for (j, e) in entries[lo..hi].iter().enumerate() {
+                for (s, &sym) in e.sax.symbols().iter().enumerate() {
+                    block[s * n + j] = sym;
+                }
+            }
+        }
         Self {
             nodes,
-            entries,
-            cols: layout.cols,
+            positions: entries.iter().map(|e| e.pos).collect(),
+            cols,
             leaf_starts: layout.leaf_starts,
             leaf_ordinals: layout.leaf_ordinals,
             runs: layout.runs,
@@ -450,7 +591,7 @@ impl TreeArena {
 
     /// Number of series stored in the subtree.
     pub fn num_entries(&self) -> usize {
-        self.entries.len()
+        self.positions.len()
     }
 
     /// Number of leaves in the subtree.
@@ -527,16 +668,16 @@ impl TreeArena {
         (n.lo, n.hi)
     }
 
-    /// A leaf's packed entries.
+    /// A leaf's series positions, in pool order.
     ///
     /// # Panics
     ///
     /// Debug-panics when `id` is an inner node.
     #[inline]
-    pub fn leaf_entries(&self, id: NodeId) -> &[LeafEntry] {
+    pub fn leaf_positions(&self, id: NodeId) -> &[u32] {
         let n = &self.nodes[id as usize];
-        debug_assert_eq!(n.tag, LEAF_TAG, "leaf_entries of an inner node");
-        &self.entries[n.lo as usize..n.hi as usize]
+        debug_assert_eq!(n.tag, LEAF_TAG, "leaf_positions of an inner node");
+        &self.positions[n.lo as usize..n.hi as usize]
     }
 
     /// A leaf's ordinal: its zero-based position among the arena's
@@ -570,7 +711,7 @@ impl TreeArena {
         let run = self.runs[self.run_of[self.leaf_ordinals[id as usize] as usize] as usize];
         LeafRef {
             word: &n.word,
-            entries: &self.entries[n.lo as usize..n.hi as usize],
+            positions: &self.positions[n.lo as usize..n.hi as usize],
             cols: &self.cols[run.lo as usize * MAX_SEGMENTS..run.hi as usize * MAX_SEGMENTS],
             stride: (run.hi - run.lo) as usize,
             base: (n.lo - run.lo) as usize,
@@ -599,7 +740,7 @@ impl TreeArena {
             self.leaf_starts[ord_hi as usize],
         );
         LeafRun {
-            entries: &self.entries[elo as usize..ehi as usize],
+            positions: &self.positions[elo as usize..ehi as usize],
             cols: &self.cols[run.lo as usize * MAX_SEGMENTS..run.hi as usize * MAX_SEGMENTS],
             stride: run.hi - run.lo,
             base: elo - run.lo,
@@ -611,32 +752,23 @@ impl TreeArena {
     /// layout this is a linear sweep of the node array, not a pointer
     /// chase.
     pub fn for_each_leaf<'a>(&'a self, f: &mut impl FnMut(LeafRef<'a>)) {
-        let mut ord = 0usize;
-        for n in &self.nodes {
-            if n.tag == LEAF_TAG {
-                let run = self.runs[self.run_of[ord] as usize];
-                f(LeafRef {
-                    word: &n.word,
-                    entries: &self.entries[n.lo as usize..n.hi as usize],
-                    cols: &self.cols
-                        [run.lo as usize * MAX_SEGMENTS..run.hi as usize * MAX_SEGMENTS],
-                    stride: (run.hi - run.lo) as usize,
-                    base: (n.lo - run.lo) as usize,
-                });
-                ord += 1;
+        for id in 0..self.nodes.len() as NodeId {
+            if self.is_leaf(id) {
+                f(self.leaf(id));
             }
         }
     }
 
-    /// Visits every leaf run in pool order as `f(entries, cols, stride)`
-    /// where `cols[s * stride + j] == entries[j].sax.symbol(s)` — the
-    /// whole-run analog of [`TreeArena::for_each_leaf`], for probes that
-    /// stream full runs through the batched mindist kernel.
-    pub fn for_each_run<'a>(&'a self, f: &mut impl FnMut(&'a [LeafEntry], &'a [u8], usize)) {
+    /// Visits every leaf run in pool order as `f(positions, cols,
+    /// stride)`, where `cols[s * stride + j]` is segment `s` of the
+    /// summary of series `positions[j]` — the whole-run analog of
+    /// [`TreeArena::for_each_leaf`], for probes that stream full runs
+    /// through the batched mindist kernel.
+    pub fn for_each_run<'a>(&'a self, f: &mut impl FnMut(&'a [u32], &'a [u8], usize)) {
         for r in &self.runs {
             let (lo, hi) = (r.lo as usize, r.hi as usize);
             f(
-                &self.entries[lo..hi],
+                &self.positions[lo..hi],
                 &self.cols[lo * MAX_SEGMENTS..hi * MAX_SEGMENTS],
                 hi - lo,
             );
@@ -664,13 +796,12 @@ impl TreeArena {
     }
 
     /// Whether all backing allocations are capacity-tight (length ==
-    /// capacity) — true for every arena produced by
-    /// [`SubtreeBuilder::finish`], which allocates each exactly once at
-    /// its final size. The build tests assert this "allocation-flat"
-    /// invariant on whole indexes.
+    /// capacity) — true for every assembled arena, whose vectors are
+    /// each allocated exactly once at their final size. The build tests
+    /// assert this "allocation-flat" invariant on whole indexes.
     pub fn allocation_flat(&self) -> bool {
         self.nodes.capacity() == self.nodes.len()
-            && self.entries.capacity() == self.entries.len()
+            && self.positions.capacity() == self.positions.len()
             && self.cols.capacity() == self.cols.len()
             && self.leaf_starts.capacity() == self.leaf_starts.len()
             && self.leaf_ordinals.capacity() == self.leaf_ordinals.len()
@@ -683,17 +814,17 @@ impl TreeArena {
         self.nodes.capacity() * std::mem::size_of::<NodeRecord>()
     }
 
-    /// Bytes held by the leaf-entry pool (capacity).
+    /// Bytes that store the leaf entries (capacities): the position
+    /// array plus the symbol columns.
     pub fn entry_bytes(&self) -> usize {
-        self.entries.capacity() * std::mem::size_of::<LeafEntry>()
+        self.positions.capacity() * std::mem::size_of::<u32>() + self.cols.capacity()
     }
 
-    /// Bytes held by the SoA symbol pool plus the derived run metadata
-    /// (capacities).
-    pub fn col_bytes(&self) -> usize {
-        self.cols.capacity()
-            + (self.leaf_starts.capacity() + self.leaf_ordinals.capacity() + self.run_of.capacity())
-                * std::mem::size_of::<u32>()
+    /// Bytes held by the derived run metadata (capacities): leaf starts,
+    /// leaf ordinals, run spans and run ids.
+    pub fn run_meta_bytes(&self) -> usize {
+        (self.leaf_starts.capacity() + self.leaf_ordinals.capacity() + self.run_of.capacity())
+            * std::mem::size_of::<u32>()
             + self.runs.capacity() * std::mem::size_of::<RunSpan>()
     }
 
@@ -707,26 +838,6 @@ impl TreeArena {
         let n = &self.nodes[id as usize];
         debug_assert_eq!(n.tag, LEAF_TAG, "leaf_range of an inner node");
         (n.lo, n.hi)
-    }
-
-    /// Raw node records (test-only: the snapshot writer slices per-key
-    /// subtrees out via [`TreeArena::key_subtree_raw`] instead).
-    #[cfg(test)]
-    pub(crate) fn raw_nodes(&self) -> &[NodeRecord] {
-        &self.nodes
-    }
-
-    /// Raw pool entries (test-only; see [`TreeArena::raw_nodes`]).
-    #[cfg(test)]
-    pub(crate) fn raw_entries(&self) -> &[LeafEntry] {
-        &self.entries
-    }
-
-    /// Consumes the arena back into its raw parts (the forest regrouping
-    /// path of [`crate::index::MessiIndex::from_parts`]); the derived
-    /// layout is dropped and rebuilt by the receiving assembly.
-    pub(crate) fn into_raw(self) -> (Vec<NodeRecord>, Vec<LeafEntry>) {
-        (self.nodes, self.entries)
     }
 
     /// Preorder extent of the subtree rooted at `id`: `(one past the
@@ -748,12 +859,13 @@ impl TreeArena {
     }
 
     /// The subtree rooted at `id` as standalone raw parts: node records
-    /// rebased to ids `0..n` and pool offsets `0..m`, plus the entry
-    /// slice. Inverse of the [`assemble_forest`] splice — serializing a
-    /// forest member this way reproduces the exact bytes the per-key
-    /// subtree would have written on its own, which is what keeps the
-    /// snapshot format unchanged.
-    pub(crate) fn key_subtree_raw(&self, id: NodeId) -> (Vec<NodeRecord>, &[LeafEntry]) {
+    /// rebased to ids `0..n` and pool offsets `0..m`, plus its entries
+    /// with their summaries gathered from the columns. Inverse of the
+    /// [`assemble_forest`] splice — serializing a forest member this way
+    /// reproduces the exact bytes the per-key subtree would have written
+    /// on its own, which is what keeps the snapshot format unchanged —
+    /// and what live ingest carries an untouched subtree over from.
+    pub(crate) fn key_subtree_raw(&self, id: NodeId) -> (Vec<NodeRecord>, Vec<LeafEntry>) {
         let (node_end, pool_lo, pool_hi) = self.subtree_extent(id);
         let nodes = self.nodes[id as usize..node_end as usize]
             .iter()
@@ -769,19 +881,24 @@ impl TreeArena {
                 rec
             })
             .collect();
-        (nodes, &self.entries[pool_lo as usize..pool_hi as usize])
+        let mut entries = Vec::with_capacity((pool_hi - pool_lo) as usize);
+        for leaf in id..node_end {
+            if self.is_leaf(leaf) {
+                entries.extend(self.leaf(leaf).entries());
+            }
+        }
+        (nodes, entries)
     }
 
-    /// Verifies that the stored derived layout (SoA pool + run metadata)
-    /// equals a fresh recomputation from the raw node/entry records —
-    /// the run-metadata invariant [`crate::validate`] audits on every
-    /// arena, built or loaded.
+    /// Verifies that the stored run metadata equals a fresh
+    /// recomputation from the node records — the run-metadata invariant
+    /// [`crate::validate`] audits on every arena, built or loaded.
     ///
     /// # Errors
     ///
     /// A human-readable description of the first mismatching vector.
     pub(crate) fn check_derived_layout(&self) -> Result<(), String> {
-        let fresh = derive_layout(&self.nodes, &self.entries);
+        let fresh = derive_layout(&self.nodes, self.positions.len());
         if fresh.leaf_starts != self.leaf_starts {
             return Err("leaf_starts differ from per-leaf recomputation".into());
         }
@@ -794,111 +911,7 @@ impl TreeArena {
         if fresh.run_of != self.run_of {
             return Err("run membership differs from per-leaf recomputation".into());
         }
-        if fresh.cols != self.cols {
-            return Err("SoA symbol pool differs from per-leaf recomputation".into());
-        }
         Ok(())
-    }
-
-    /// Deepest tree a legitimate build can produce: every inner→child
-    /// step refines exactly one bit of one segment, so a root-to-leaf
-    /// path has at most `MAX_SEGMENTS × CARD_BITS` splits.
-    const MAX_DEPTH: usize = messi_sax::MAX_SEGMENTS * messi_sax::CARD_BITS + 1;
-
-    /// Reassembles an arena from raw parts (the deserialization path),
-    /// verifying the structural invariants the accessors rely on: the
-    /// records must form exactly one preorder tree — a left-then-right
-    /// depth-first walk from the root enumerates ids `0..n` in ascending
-    /// order, which rules out unreachable nodes, shared children, and
-    /// cycles in one pass — no deeper than any legitimate build can
-    /// produce, whose leaves partition the entry pool left to right.
-    ///
-    /// # Errors
-    ///
-    /// A human-readable description of the first violated invariant.
-    pub(crate) fn from_raw(
-        nodes: Vec<NodeRecord>,
-        entries: Vec<LeafEntry>,
-    ) -> Result<Self, String> {
-        if nodes.is_empty() {
-            return Err("arena with zero nodes".into());
-        }
-        let nn = nodes.len() as u64;
-        let mut covered = 0u64; // leaves partition the pool in order
-        for (id, n) in nodes.iter().enumerate() {
-            if n.tag == LEAF_TAG {
-                if u64::from(n.lo) != covered {
-                    return Err(format!(
-                        "leaf {id}: pool range starts at {} not {covered}",
-                        n.lo
-                    ));
-                }
-                if n.hi < n.lo || entries.len() < n.hi as usize {
-                    return Err(format!(
-                        "leaf {id}: pool range {}..{} out of bounds",
-                        n.lo, n.hi
-                    ));
-                }
-                covered = u64::from(n.hi);
-            } else {
-                if usize::from(n.tag) >= messi_sax::MAX_SEGMENTS {
-                    return Err(format!(
-                        "inner node {id}: split segment {} out of range",
-                        n.tag
-                    ));
-                }
-                if u64::from(n.hi) <= u64::from(n.lo) || u64::from(n.hi) >= nn {
-                    return Err(format!(
-                        "inner node {id}: children {}/{} out of order or bounds",
-                        n.lo, n.hi
-                    ));
-                }
-            }
-        }
-        if covered != entries.len() as u64 {
-            return Err(format!(
-                "leaves cover {covered} pool entries of {}",
-                entries.len()
-            ));
-        }
-        // Preorder tree-ness, checked by one explicit-stack DFS: visiting
-        // left-then-right must enumerate ids in exactly ascending order.
-        // A node with two parents gets visited twice (id ≠ expected), an
-        // unreachable node leaves the count short, and the depth cap
-        // keeps the recursive traversals (height, engine descent) within
-        // sane stack bounds for files no honest build could have written.
-        let mut stack: Vec<(u32, usize)> = vec![(0, 1)];
-        let mut expect = 0u64;
-        while let Some((id, depth)) = stack.pop() {
-            if u64::from(id) != expect {
-                return Err(format!(
-                    "node {id} visited out of preorder (expected {expect})"
-                ));
-            }
-            if depth > Self::MAX_DEPTH {
-                return Err(format!(
-                    "tree deeper than any build can produce (> {})",
-                    Self::MAX_DEPTH
-                ));
-            }
-            expect += 1;
-            let n = &nodes[id as usize];
-            if n.tag != LEAF_TAG {
-                stack.push((n.hi, depth + 1));
-                stack.push((n.lo, depth + 1));
-            }
-        }
-        if expect != nn {
-            return Err(format!(
-                "{} of {nn} nodes unreachable from the root",
-                nn - expect
-            ));
-        }
-        // The SoA symbol pool and run metadata are derived data: rebuild
-        // them from the (now validated) records instead of trusting
-        // serialized bytes. Same derivation as the build path, so a
-        // round-trip is byte-identical.
-        Ok(Self::assemble(nodes, entries))
     }
 }
 
@@ -950,10 +963,10 @@ impl<'a> Iterator for SaxLinkIter<'a> {
 ///
 /// The builder's scratch (index-linked entry lists, a flat scratch-node
 /// array) is retained across subtrees: `begin` → `insert`* → `finish`
-/// cycles reuse the same buffers, and `finish` performs a fixed handful
-/// of exact-capacity allocations — the arena's node array, entry pool,
-/// SoA symbol pool, and run metadata — regardless of how many nodes the
-/// subtree has (the "allocation-flat" invariant, debug-asserted).
+/// cycles reuse the same buffers, and `finish` performs exactly two
+/// exact-capacity allocations — the [`Subtree`]'s node records and
+/// pool-ordered entries — regardless of how many nodes the subtree has
+/// (debug-asserted).
 #[derive(Debug)]
 pub struct SubtreeBuilder {
     /// Number of PAA segments (the paper's w).
@@ -1136,19 +1149,18 @@ impl SubtreeBuilder {
         true
     }
 
-    /// Flattens the finished subtree into a [`TreeArena`] (preorder node
-    /// array + packed leaf pool + derived SoA/run layout) and resets the
-    /// scratch for the next subtree.
+    /// Flattens the finished subtree into a [`Subtree`] (preorder node
+    /// records + entries in pool order) and resets the scratch for the
+    /// next subtree.
     ///
-    /// The arena is built with a fixed handful of exact-capacity
-    /// allocations — the node-count and entry-count are known, and the
-    /// derived layout is a post-pass over the emitted leaves — which
-    /// debug assertions verify (the "allocation-flat subtree" invariant).
+    /// Both vectors are allocated once at their exact final size — the
+    /// node count and entry count are known — which debug assertions
+    /// verify.
     ///
     /// # Panics
     ///
     /// Panics if called before [`SubtreeBuilder::begin`].
-    pub fn finish(&mut self) -> TreeArena {
+    pub fn finish(&mut self) -> Subtree {
         assert!(!self.nodes.is_empty(), "finish before begin");
         let mut nodes: Vec<NodeRecord> = Vec::with_capacity(self.nodes.len());
         let mut pool: Vec<LeafEntry> = Vec::with_capacity(self.entries.len());
@@ -1161,9 +1173,10 @@ impl SubtreeBuilder {
         self.nodes.clear();
         self.entries.clear();
         self.next.clear();
-        let arena = TreeArena::assemble(nodes, pool);
-        debug_assert!(arena.allocation_flat(), "derived layout reallocated");
-        arena
+        Subtree {
+            nodes,
+            entries: pool,
+        }
     }
 
     /// Emits the scratch node `sid` (and its subtree) in preorder,
@@ -1206,7 +1219,7 @@ impl SubtreeBuilder {
         &mut self,
         word: NodeWord,
         entries: impl IntoIterator<Item = LeafEntry>,
-    ) -> TreeArena {
+    ) -> Subtree {
         self.begin(word);
         for e in entries {
             self.insert(e);
@@ -1239,21 +1252,19 @@ mod tests {
         let word = NodeWord::root();
         let mut builder = SubtreeBuilder::new(4, 100);
         let config = SaxConfig::new(4, 32);
-        let arena = builder.build_subtree(
-            word,
-            (0..50u32).map(|i| entry_for(&series(i, 32), i, config)),
-        );
+        let arena = builder
+            .build_subtree(
+                word,
+                (0..50u32).map(|i| entry_for(&series(i, 32), i, config)),
+            )
+            .into_arena();
         assert!(arena.is_leaf(TreeArena::ROOT));
         assert_eq!(arena.num_entries(), 50);
         assert_eq!(arena.num_leaves(), 1);
         assert_eq!(arena.num_nodes(), 1);
         assert_eq!(arena.height(), 1);
         // Entries come out in insertion order.
-        let positions: Vec<u32> = arena
-            .leaf_entries(TreeArena::ROOT)
-            .iter()
-            .map(|e| e.pos)
-            .collect();
+        let positions = arena.leaf_positions(TreeArena::ROOT).to_vec();
         assert_eq!(positions, (0..50).collect::<Vec<_>>());
     }
 
@@ -1273,22 +1284,24 @@ mod tests {
             .expect("some group");
         assert!(entries.len() > 8, "need a non-trivial group");
         let mut builder = SubtreeBuilder::new(4, 8);
-        let arena = builder.build_subtree(node_word_for_root_key(key, 4), entries.iter().copied());
+        let arena = builder
+            .build_subtree(node_word_for_root_key(key, 4), entries.iter().copied())
+            .into_arena();
         assert_eq!(arena.num_entries(), entries.len());
         assert!(arena.num_leaves() > 1, "should have split");
         // Every leaf's entries are contained in the leaf's word, and no
         // leaf (except unsplittable ones) exceeds capacity.
         let mut seen = 0;
         arena.for_each_leaf(&mut |leaf| {
-            seen += leaf.entries.len();
-            for e in leaf.entries {
+            seen += leaf.positions.len();
+            for e in leaf.entries() {
                 assert!(leaf.word.contains(&e.sax, 4));
             }
-            if leaf.entries.len() > 8 {
+            if leaf.positions.len() > 8 {
                 // Only allowed when every entry has the same summary.
-                let first = leaf.entries[0].sax;
+                let first = leaf.entries().next().expect("non-empty").sax;
                 assert!(
-                    leaf.entries.iter().all(|e| e.sax == first),
+                    leaf.entries().all(|e| e.sax == first),
                     "oversized leaf with separable entries"
                 );
             }
@@ -1303,10 +1316,12 @@ mod tests {
         let e = entry_for(&s, 0, config);
         let key = root_key(&e.sax, 4);
         let mut builder = SubtreeBuilder::new(4, 4);
-        let arena = builder.build_subtree(
-            node_word_for_root_key(key, 4),
-            (0..20u32).map(|i| LeafEntry { pos: i, ..e }),
-        );
+        let arena = builder
+            .build_subtree(
+                node_word_for_root_key(key, 4),
+                (0..20u32).map(|i| LeafEntry { pos: i, ..e }),
+            )
+            .into_arena();
         assert!(
             arena.is_leaf(TreeArena::ROOT),
             "identical words cannot separate"
@@ -1318,13 +1333,13 @@ mod tests {
     fn structure_accessors() {
         let word = NodeWord::root();
         let mut builder = SubtreeBuilder::new(4, 8);
-        let arena = builder.build_subtree(word, std::iter::empty());
+        let arena = builder.build_subtree(word, std::iter::empty()).into_arena();
         assert!(arena.is_leaf(TreeArena::ROOT));
         assert_eq!(arena.word(TreeArena::ROOT), &word);
         assert_eq!(arena.num_entries(), 0);
         assert_eq!(arena.height(), 1);
         assert!(arena.node_bytes() > 0 || arena.num_nodes() == 1);
-        assert_eq!(arena.leaf(TreeArena::ROOT).entries.len(), 0);
+        assert_eq!(arena.leaf(TreeArena::ROOT).positions.len(), 0);
         // Even an empty arena has one (empty) run covering its one leaf.
         assert_eq!(arena.num_runs(), 1);
         assert_eq!(arena.run_shapes(), vec![(1, 0)]);
@@ -1343,13 +1358,17 @@ mod tests {
         // reused builder — and require identical flattened storage.
         for (key, entries) in groups {
             let word = node_word_for_root_key(key, 4);
-            let reused = builder.build_subtree(word, entries.iter().copied());
-            let fresh = SubtreeBuilder::new(4, 4).build_subtree(word, entries.iter().copied());
+            let reused = builder
+                .build_subtree(word, entries.iter().copied())
+                .into_arena();
+            let fresh = SubtreeBuilder::new(4, 4)
+                .build_subtree(word, entries.iter().copied())
+                .into_arena();
             assert_eq!(reused.num_nodes(), fresh.num_nodes(), "key {key}");
             assert_eq!(reused.num_leaves(), fresh.num_leaves(), "key {key}");
             let collect = |a: &TreeArena| {
                 let mut v = Vec::new();
-                a.for_each_leaf(&mut |l| v.extend(l.entries.iter().map(|e| e.pos)));
+                a.for_each_leaf(&mut |l| v.extend_from_slice(l.positions));
                 v
             };
             assert_eq!(collect(&reused), collect(&fresh), "key {key}");
@@ -1369,23 +1388,26 @@ mod tests {
             .max_by_key(|(_, v)| v.len())
             .expect("some group");
         let mut builder = SubtreeBuilder::new(4, 4);
-        let arena = builder.build_subtree(node_word_for_root_key(key, 4), entries.iter().copied());
+        let arena = builder
+            .build_subtree(node_word_for_root_key(key, 4), entries.iter().copied())
+            .into_arena();
         // Round-tripping through from_raw accepts the builder's output…
-        let nodes = arena.raw_nodes().to_vec();
-        let pool = arena.raw_entries().to_vec();
-        let back = TreeArena::from_raw(nodes.clone(), pool.clone()).expect("valid arena");
+        let (nodes, pool) = arena.key_subtree_raw(TreeArena::ROOT);
+        let back = Subtree::from_raw(nodes.clone(), pool.clone())
+            .expect("valid subtree")
+            .into_arena();
         assert_eq!(back.num_leaves(), arena.num_leaves());
         // …and rejects structural corruption.
-        assert!(TreeArena::from_raw(Vec::new(), Vec::new()).is_err());
+        assert!(Subtree::from_raw(Vec::new(), Vec::new()).is_err());
         if arena.num_nodes() > 1 {
             let mut bad = nodes.clone();
             bad[0].lo = 0; // self-referential child breaks preorder
-            assert!(TreeArena::from_raw(bad, pool.clone()).is_err());
+            assert!(Subtree::from_raw(bad, pool.clone()).is_err());
         }
         let mut bad = nodes;
         if let Some(last_leaf) = bad.iter().rposition(|n| n.tag == LEAF_TAG) {
             bad[last_leaf].hi += 1; // range past the pool
-            assert!(TreeArena::from_raw(bad, pool).is_err());
+            assert!(Subtree::from_raw(bad, pool).is_err());
         }
     }
 
@@ -1393,26 +1415,34 @@ mod tests {
     fn soa_columns_mirror_leaf_entries() {
         let config = SaxConfig::new(4, 32);
         let mut groups: std::collections::HashMap<usize, Vec<LeafEntry>> = Default::default();
+        let mut input = Vec::new();
         for i in 0..300u32 {
             let e = entry_for(&series(i, 32), i, config);
+            input.push(e.sax);
             groups.entry(root_key(&e.sax, 4)).or_default().push(e);
         }
         let mut builder = SubtreeBuilder::new(4, 8);
         for (key, entries) in groups {
-            let arena =
-                builder.build_subtree(node_word_for_root_key(key, 4), entries.iter().copied());
+            let arena = builder
+                .build_subtree(node_word_for_root_key(key, 4), entries.iter().copied())
+                .into_arena();
             assert!(arena.allocation_flat());
-            assert!(arena.col_bytes() >= arena.num_entries() * MAX_SEGMENTS);
+            assert_eq!(
+                arena.entry_bytes(),
+                arena.num_entries() * (4 + MAX_SEGMENTS)
+            );
             let mut total = 0usize;
             arena.for_each_leaf(&mut |leaf| {
-                let n = leaf.entries.len();
+                let n = leaf.positions.len();
                 assert!(leaf.base + n <= leaf.stride);
                 assert_eq!(leaf.cols.len(), leaf.stride * MAX_SEGMENTS);
-                for (j, e) in leaf.entries.iter().enumerate() {
+                // The columns hold exactly the summaries the builder was
+                // given, looked up by position (positions are unique).
+                for (j, &pos) in leaf.positions.iter().enumerate() {
                     for s in 0..MAX_SEGMENTS {
                         assert_eq!(
                             leaf.cols[s * leaf.stride + leaf.base + j],
-                            e.sax.symbol(s),
+                            input[pos as usize].symbol(s),
                             "key {key} entry {j} segment {s}"
                         );
                     }
@@ -1420,10 +1450,12 @@ mod tests {
                 total += n;
             });
             assert_eq!(total, arena.num_entries());
-            // The round-tripped arena rebuilds identical derived layout.
-            let back =
-                TreeArena::from_raw(arena.raw_nodes().to_vec(), arena.raw_entries().to_vec())
-                    .expect("valid arena");
+            // The round-tripped arena rebuilds identical storage.
+            let (nodes, pool) = arena.key_subtree_raw(TreeArena::ROOT);
+            let back = Subtree::from_raw(nodes, pool)
+                .expect("valid subtree")
+                .into_arena();
+            assert_eq!(back.positions, arena.positions);
             assert_eq!(back.cols, arena.cols);
             assert_eq!(back.leaf_starts, arena.leaf_starts);
             assert_eq!(back.runs, arena.runs);
@@ -1442,8 +1474,9 @@ mod tests {
         }
         let mut builder = SubtreeBuilder::new(4, 4); // tiny leaves → multi-leaf runs
         for (key, entries) in groups {
-            let arena =
-                builder.build_subtree(node_word_for_root_key(key, 4), entries.iter().copied());
+            let arena = builder
+                .build_subtree(node_word_for_root_key(key, 4), entries.iter().copied())
+                .into_arena();
             let shapes = arena.run_shapes();
             assert_eq!(shapes.len(), arena.num_runs(), "key {key}");
             let leaves: usize = shapes.iter().map(|s| s.0).sum();
@@ -1468,7 +1501,7 @@ mod tests {
                 assert_eq!(arena.leaf_ordinal(id), ord);
                 let run = arena.leaf_run(ord, ord + 1);
                 assert_eq!(run.leaf_count(), 1);
-                assert_eq!(run.entries, arena.leaf_entries(id));
+                assert_eq!(run.positions, arena.leaf_positions(id));
                 let l = arena.leaf(id);
                 assert_eq!(run.stride as usize, l.stride);
                 assert_eq!(run.base as usize, l.base);
@@ -1480,14 +1513,14 @@ mod tests {
                 let hi = lo + leaf_count as u32;
                 let run = arena.leaf_run(lo, hi);
                 assert_eq!(run.leaf_count(), leaf_count);
-                assert_eq!(run.entries.len(), entry_count);
+                assert_eq!(run.positions.len(), entry_count);
                 assert_eq!(run.base, 0, "whole run starts at its block base");
                 assert_eq!(run.stride as usize, entry_count);
                 // Prefix views truncate on member-leaf boundaries.
                 for k in 1..=leaf_count {
                     let p = run.prefix(k);
                     assert_eq!(p.leaf_count(), k);
-                    assert_eq!(p.entries.len(), (run.starts[k] - run.starts[0]) as usize);
+                    assert_eq!(p.positions.len(), (run.starts[k] - run.starts[0]) as usize);
                 }
                 lo = hi;
             }
@@ -1522,23 +1555,23 @@ mod tests {
         // gets visited, but its pool range keeps the linear partition
         // consistent — only the DFS walk can catch it.
         let orphan = vec![inner(1, 2), leaf(0, 3), leaf(3, 6), leaf(6, 9)];
-        let err = TreeArena::from_raw(orphan, entries(9)).unwrap_err();
+        let err = Subtree::from_raw(orphan, entries(9)).unwrap_err();
         assert!(err.contains("unreachable"), "{err}");
         // Shared child: two parents point at leaf 3 — the DFS visits it
         // twice, out of preorder.
         let shared = vec![inner(1, 3), inner(2, 3), leaf(0, 1), leaf(1, 2)];
-        assert!(TreeArena::from_raw(shared, entries(2)).is_err());
+        assert!(Subtree::from_raw(shared, entries(2)).is_err());
         // A left spine deeper than any legitimate build must be refused
         // (honest depth is bounded by total refinable bits), keeping the
         // recursive traversals within sane stack bounds. The spine is a
         // structurally flawless preorder tree of 2D+1 nodes — only the
         // depth cap can reject it.
-        let d = (TreeArena::MAX_DEPTH + 8) as u32;
+        let d = (Subtree::MAX_DEPTH + 8) as u32;
         let mut spine: Vec<NodeRecord> = (0..d).map(|i| inner(i + 1, 2 * d - i)).collect();
         for _ in 0..=d {
             spine.push(leaf(0, 0));
         }
-        let err = TreeArena::from_raw(spine, entries(0)).unwrap_err();
+        let err = Subtree::from_raw(spine, entries(0)).unwrap_err();
         assert!(err.contains("deeper"), "{err}");
     }
 
@@ -1576,7 +1609,7 @@ mod tests {
                 .push(e);
         }
         let mut builder = SubtreeBuilder::new(segments, 4);
-        let built: Vec<(usize, TreeArena)> = groups
+        let built: Vec<(usize, Subtree)> = groups
             .into_iter()
             .map(|(key, entries)| {
                 let word = node_word_for_root_key(key, segments);
@@ -1586,18 +1619,9 @@ mod tests {
         assert!(built.len() >= 2, "need several keys to form a forest");
         let originals: Vec<(usize, Vec<NodeRecord>, Vec<LeafEntry>)> = built
             .iter()
-            .map(|(k, a)| (*k, a.raw_nodes().to_vec(), a.raw_entries().to_vec()))
+            .map(|(k, s)| (*k, s.nodes.clone(), s.entries.clone()))
             .collect();
-        let forest = assemble_forest(
-            built
-                .into_iter()
-                .map(|(k, a)| {
-                    let (n, e) = a.into_raw();
-                    (k, n, e)
-                })
-                .collect(),
-            segments,
-        );
+        let forest = assemble_forest(built, segments);
         // k member subtrees need exactly k−1 synthetic spine nodes, and
         // the spliced storage stays capacity-tight with a clean derived
         // layout.
@@ -1633,11 +1657,7 @@ mod tests {
             assert_eq!(forest.word(id), &node_word_for_root_key(*key, segments));
             let (got_nodes, got_entries) = forest.key_subtree_raw(id);
             assert_eq!(&got_nodes, nodes, "key {key}: sliced nodes differ");
-            assert_eq!(
-                got_entries,
-                &entries[..],
-                "key {key}: sliced entries differ"
-            );
+            assert_eq!(&got_entries, entries, "key {key}: sliced entries differ");
         }
     }
 }

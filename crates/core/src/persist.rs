@@ -2,7 +2,7 @@
 //!
 //! The arena layout ([`crate::node`]) makes the index a handful of flat
 //! arrays, so the whole structure — configuration, per-subtree node
-//! records, packed leaf pools, and mindist scales — serializes to one
+//! records, leaf entries, and mindist scales — serializes to one
 //! versioned, checksummed file. A server can then `messi build --save`
 //! once and answer queries from `--load`ed snapshots without ever paying
 //! the build again (the ROADMAP's serve-from-prebuilt-snapshot
@@ -22,9 +22,11 @@
 //! (shape + content hash — snapshots store tree structure, not raw
 //! series, so the loader verifies it is being paired with the right
 //! data), the mindist scales, and each touched root subtree as its raw
-//! arena: node records then pool entries. Loading re-validates the
-//! preorder arena invariants *and* the full semantic invariants of
-//! [`crate::validate`] (word refinement, containment, root-key filing,
+//! arena: node records then one `(16 symbol bytes, position)` record per
+//! pool entry, gathered from the arena's symbol columns. Loading
+//! re-validates the preorder arena invariants *and* the full semantic
+//! invariants of [`crate::validate`] (word refinement, containment,
+//! root-key filing,
 //! summary correctness against the dataset, position completeness), so
 //! a torn or tampered file — even one with a correctly resealed
 //! checksum — fails with a [`PersistError`] instead of producing a
@@ -37,7 +39,7 @@
 
 use crate::config::{BuildVariant, IndexConfig};
 use crate::index::MessiIndex;
-use crate::node::{LeafEntry, NodeRecord, TreeArena};
+use crate::node::{LeafEntry, NodeRecord, Subtree};
 use messi_sax::convert::SaxConverter;
 use messi_sax::word::{NodeWord, SaxWord, CARD_BITS, MAX_SEGMENTS};
 use messi_series::io::{fnv1a64, fnv1a64_f32, PayloadReader, PayloadWriter};
@@ -51,11 +53,12 @@ use std::sync::Arc;
 const MAGIC: [u8; 8] = *b"MESSIIDX";
 /// Current snapshot format version.
 ///
-/// Version 2 marks builds whose arenas carry the struct-of-arrays leaf
-/// symbol columns. The columns are *derived* state — rebuilt by
-/// `TreeArena::from_raw` at load, never serialized (a snapshot cannot
-/// smuggle in columns that disagree with its entries) — so the payload
-/// is byte-identical to version 1 and version-1 files still load.
+/// Version 2 marks builds whose arenas keep the leaf summaries as
+/// run-grouped symbol columns. The file still holds one
+/// `(symbols, position)` record per entry — the writer gathers each
+/// summary from the columns and the loader transposes the records back
+/// at assembly — so the payload is byte-identical to version 1
+/// and version-1 files still load.
 pub const FORMAT_VERSION: u32 = 2;
 /// Oldest format version this build still reads.
 pub const MIN_FORMAT_VERSION: u32 = 1;
@@ -428,9 +431,9 @@ fn decode_payload(payload: &[u8], dataset: Arc<Dataset>) -> Result<MessiIndex, P
                 pos,
             });
         }
-        let arena = TreeArena::from_raw(nodes, entries).map_err(PersistError::Corrupt)?;
-        total_entries += arena.num_entries();
-        subtrees.push((key, arena));
+        let subtree = Subtree::from_raw(nodes, entries).map_err(PersistError::Corrupt)?;
+        total_entries += subtree.num_entries();
+        subtrees.push((key, subtree));
     }
     if r.remaining() != 0 {
         return Err(corrupt("trailing bytes after the last subtree"));
@@ -577,7 +580,7 @@ mod tests {
 
     #[test]
     fn loads_version_1_snapshots() {
-        // The v1 → v2 bump only marks the SoA-column derivation; the
+        // The v1 → v2 bump only marks the symbol-column layout; the
         // payload is unchanged, so a v1-stamped file must load. The
         // checksum covers the payload only, so re-stamping the header
         // version byte needs no reseal.
@@ -589,10 +592,13 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         let loaded = load_index(&path, Arc::clone(&data)).unwrap();
         assert_eq!(loaded.num_entries(), index.num_entries());
-        // The derived SoA columns are rebuilt regardless of file version.
+        // The symbol columns are rebuilt regardless of file version.
         for &key in loaded.touched_keys() {
             let arena = loaded.root(key).unwrap();
-            assert!(arena.col_bytes() >= arena.num_entries());
+            assert_eq!(
+                arena.entry_bytes(),
+                arena.num_entries() * (4 + MAX_SEGMENTS)
+            );
         }
         std::fs::remove_file(&path).ok();
     }

@@ -331,7 +331,8 @@ impl ShardedIndex {
         self.shards.iter().map(|s| s.node_storage_bytes()).sum()
     }
 
-    /// Bytes held by all leaf-entry pools across all shards.
+    /// Bytes that store the leaf entries (positions plus symbol
+    /// columns) across all shards.
     pub fn entry_storage_bytes(&self) -> usize {
         self.shards.iter().map(|s| s.entry_storage_bytes()).sum()
     }

@@ -20,8 +20,11 @@ use messi_sax::root_key::{node_word_for_root_key, root_key};
 ///
 /// 1. **Completeness**: every dataset position appears in exactly one
 ///    leaf.
-/// 2. **Summary correctness**: each stored iSAX summary equals the
-///    recomputed summary of its raw series.
+/// 2. **Summary correctness**: each stored iSAX summary — read from the
+///    leaf's run-grouped symbol columns, the only stored copy — equals
+///    the recomputed summary of its raw series. The batched mindist
+///    kernels read those columns, so a forged byte would silently change
+///    pruning bounds.
 /// 3. **Containment**: every leaf entry's summary is contained in the
 ///    leaf's node word, and files under the root key of its subtree.
 /// 4. **Refinement**: each subtree's root word matches its key, and
@@ -34,21 +37,17 @@ use messi_sax::root_key::{node_word_for_root_key, root_key};
 /// 7. **Arena layout**: each arena's leaves partition its entry pool in
 ///    depth-first order, so leaf scans and `for_each_leaf` walk flat,
 ///    gapless slices.
-/// 8. **SoA mirror**: each leaf's struct-of-arrays symbol columns agree
-///    byte-for-byte with the interleaved entry words (through the run
-///    block's stride/base indexing) — the batched mindist kernels read
-///    the columns, so a divergence would silently change pruning bounds.
-/// 9. **Run metadata**: every arena's derived leaf-run metadata (cols,
-///    leaf starts, ordinals, run spans, run ids) equals a from-scratch
+/// 8. **Run metadata**: every arena's derived leaf-run metadata (leaf
+///    starts, ordinals, run spans, run ids) equals a from-scratch
 ///    recomputation — what the queue coalescing and the snapshot loader
 ///    both rely on being deterministic.
-/// 10. **Forest spine**: in a grouped arena, every synthetic node splits
-///     an unrefined segment, its children's words extend its own, and
-///     each walk bottoms out at a per-key root whose word refines exactly
-///     its key — so coarse spine words only ever *loosen* mindist (the
-///     pruning-admissibility requirement) and per-key slicing for the
-///     snapshot writer is well defined.
-/// 11. **Grouping determinism**: the arena membership equals the greedy
+/// 9. **Forest spine**: in a grouped arena, every synthetic node splits
+///    an unrefined segment, its children's words extend its own, and
+///    each walk bottoms out at a per-key root whose word refines exactly
+///    its key — so coarse spine words only ever *loosen* mindist (the
+///    pruning-admissibility requirement) and per-key slicing for the
+///    snapshot writer is well defined.
+/// 10. **Grouping determinism**: the arena membership equals the greedy
 ///     regrouping of the touched keys' per-key entry counts — what lets
 ///     the loader (and any rebuild) reproduce the same forests.
 pub fn validate(index: &MessiIndex) -> Vec<String> {
@@ -73,7 +72,7 @@ pub fn validate(index: &MessiIndex) -> Vec<String> {
         }
     }
 
-    // Per-arena semantics (2, 3, 4, 5, 7, 8, 9, 10), shared with the
+    // Per-arena semantics (2, 3, 4, 5, 7, 8, 9), shared with the
     // snapshot loader. Position tallies feed the completeness check
     // below.
     for (arena_idx, arena) in index.arenas.iter().enumerate() {
@@ -102,7 +101,7 @@ pub fn validate(index: &MessiIndex) -> Vec<String> {
         }
     }
 
-    // Grouping determinism (11).
+    // Grouping determinism (10).
     let counts: Vec<usize> = index
         .touched
         .iter()
@@ -140,9 +139,9 @@ pub fn validate(index: &MessiIndex) -> Vec<String> {
 
 /// Fail-fast semantic check of one arena — the single implementation
 /// behind both [`validate`] and the snapshot loader's parallel sweep
-/// ([`crate::persist`]). Verifies the forest spine (invariant 10), then
+/// ([`crate::persist`]). Verifies the forest spine (invariant 9), then
 /// every member subtree's per-key semantics, then the arena-wide derived
-/// run metadata (invariant 9).
+/// run metadata (invariant 8).
 pub(crate) fn check_arena_semantics(
     index: &MessiIndex,
     arena: &TreeArena,
@@ -154,7 +153,7 @@ pub(crate) fn check_arena_semantics(
     for &(key, root) in &members {
         check_subtree_semantics(index, arena, key, root, conv, record)?;
     }
-    // Run metadata (9): the derived layout must equal a from-scratch
+    // Run metadata (8): the derived layout must equal a from-scratch
     // recomputation.
     if let Err(e) = arena.check_derived_layout() {
         return Err(format!("arena {arena_idx}: {e}"));
@@ -163,7 +162,7 @@ pub(crate) fn check_arena_semantics(
 }
 
 /// Walks an arena's synthetic spine (empty for a solo per-key arena),
-/// verifying invariant 10, and returns the member `(key, per-key root)`
+/// verifying invariant 9, and returns the member `(key, per-key root)`
 /// pairs in ascending key order.
 fn check_forest_spine(
     index: &MessiIndex,
@@ -298,31 +297,21 @@ fn check_subtree_semantics(
             ));
         }
         let leaf = arena.leaf(id);
-        cursor += leaf.entries.len() as u32;
+        cursor += leaf.positions.len() as u32;
         // Capacity (5).
-        if leaf.entries.len() > index.config.leaf_capacity {
-            let first = leaf.entries.first().map(|e| e.sax);
-            if !leaf.entries.iter().all(|e| Some(e.sax) == first) {
+        if leaf.positions.len() > index.config.leaf_capacity {
+            let first = leaf.entries().next().map(|e| e.sax);
+            if !leaf.entries().all(|e| Some(e.sax) == first) {
                 return Err(format!(
                     "key {key}: oversized leaf ({} > {}) with separable entries",
-                    leaf.entries.len(),
+                    leaf.positions.len(),
                     index.config.leaf_capacity
                 ));
             }
         }
-        for (j, e) in leaf.entries.iter().enumerate() {
+        for e in leaf.entries() {
             let pos = e.pos as usize;
             record(pos)?;
-            // SoA mirror (8), through the run block's stride/base.
-            for (s, &sym) in e.sax.symbols().iter().enumerate() {
-                let byte = leaf.cols[s * leaf.stride + leaf.base + j];
-                if byte != sym {
-                    return Err(format!(
-                        "key {key}: entry {pos} segment {s}: SoA column byte {byte} \
-                         disagrees with AoS symbol {sym}"
-                    ));
-                }
-            }
             // Containment (3).
             if !leaf.word.contains(&e.sax, segments) {
                 return Err(format!("key {key}: entry {pos} not contained in leaf word"));

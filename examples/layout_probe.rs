@@ -1,12 +1,10 @@
 //! Ad-hoc layout throughput probe: times the leaf-scan-heavy paths the
-//! storage layouts target, over a shallow paper-default index and a
-//! deep split-heavy one. Since the run-grouped struct-of-arrays
-//! transpose the probe contrasts three sweeps directly: the interleaved
-//! AoS entry records, the packed SoA symbol columns chunked *per leaf*
-//! (the pre-run-batching engine path), and the SoA columns streamed
-//! over whole *leaf runs* — next to the run-length distribution the
-//! greedy partition produced and the footprint each layout pays per
-//! entry. Used to record the numbers in README's bench notes.
+//! storage layout targets, over a shallow paper-default index and a
+//! deep split-heavy one. The probe contrasts two sweeps of the
+//! run-grouped symbol columns: chunked *per leaf* (the pre-run-batching
+//! engine path) and streamed over whole *leaf runs* — next to the
+//! run-length distribution the greedy partition produced and the bytes
+//! each entry costs. Used to record the numbers in README's bench notes.
 //!
 //! `--leaf-target <N|auto>` overrides the paper-default split threshold
 //! (auto = `messi::index::auto_leaf_capacity`). Every sweep prints an
@@ -14,7 +12,6 @@
 //! and assert the lower-bound tier computes identical values on every
 //! tree shape.
 
-use messi::index::node::LeafEntry;
 use messi::prelude::*;
 use messi::sax::mindist::MindistTable;
 use messi::series::paa::paa;
@@ -42,19 +39,16 @@ fn probe(label: &str, data: &Arc<Dataset>, config: &IndexConfig) -> u64 {
         ..QueryConfig::default()
     };
 
-    // Footprint per entry, per layout. The AoS record interleaves the
-    // SAX word with the result payload (pos); the SoA pool stores the
-    // bound-relevant symbols alone, so one cache line of column bytes
-    // covers 64 entries' segment-s symbols instead of 4 whole records.
-    let entries: usize = index.arenas().iter().map(|a| a.num_entries()).sum();
-    let aos_bytes = std::mem::size_of::<LeafEntry>();
-    let col_bytes: usize = index.arenas().iter().map(|a| a.col_bytes()).sum();
+    // Footprint per entry: a position plus its summary's symbols, which
+    // sit segment-major, so one cache line of column bytes covers 64
+    // entries' segment-s symbols; the run metadata comes on top.
+    let entries = index.num_entries();
+    let meta: usize = index.arenas().iter().map(|a| a.run_meta_bytes()).sum();
     println!(
-        "{label}: {entries} entries · AoS {aos_bytes} B/entry \
-         ({:.1} entries/cache-line) · SoA {} B/entry \
+        "{label}: {entries} entries · {} B/entry stored + {:.1} B/entry run metadata \
          ({CACHE_LINE} entries/cache-line per segment)",
-        CACHE_LINE as f64 / aos_bytes as f64,
-        col_bytes / entries.max(1),
+        index.entry_storage_bytes() / entries.max(1),
+        meta as f64 / entries.max(1) as f64,
     );
 
     // The run partition the greedy grouping produced: how many member
@@ -84,28 +78,14 @@ fn probe(label: &str, data: &Arc<Dataset>, config: &IndexConfig) -> u64 {
         hist[3],
     );
 
-    // The mindist sweep all layouts exist to serve: one table, every
-    // leaf, lower bounds for all entries. AoS walks the records one by
-    // one; per-leaf SoA restarts its 8-wide chunking at each leaf (so a
-    // 6-entry leaf is one partial chunk); run-batched SoA chunks across
-    // the whole run and only the final chunk can be partial.
+    // The mindist sweep the layout exists to serve: one table, every
+    // leaf, lower bounds for all entries. Per-leaf chunking restarts at
+    // each leaf (so a 6-entry leaf is one partial chunk); run-batched
+    // chunking spans the whole run and only the final chunk can be
+    // partial.
     let segments = index.sax_config().segments;
     let table = MindistTable::new(&paa(q, segments), index.sax_config());
     let iters = 200u32;
-
-    let t = Instant::now();
-    for _ in 0..iters {
-        let mut acc = 0.0f32;
-        for arena in index.arenas() {
-            arena.for_each_leaf(&mut |l| {
-                for e in l.entries {
-                    acc += table.mindist_sq(&e.sax);
-                }
-            });
-        }
-        std::hint::black_box(acc);
-    }
-    let aos_sweep = t.elapsed() / iters;
 
     let mut leaf_times = Vec::new();
     for use_simd in [true, false] {
@@ -115,7 +95,7 @@ fn probe(label: &str, data: &Arc<Dataset>, config: &IndexConfig) -> u64 {
             let mut out = [0.0f32; 8];
             for arena in index.arenas() {
                 arena.for_each_leaf(&mut |l| {
-                    let n = l.entries.len();
+                    let n = l.positions.len();
                     let mut base = 0;
                     while base < n {
                         let len = (n - base).min(8);
@@ -144,8 +124,8 @@ fn probe(label: &str, data: &Arc<Dataset>, config: &IndexConfig) -> u64 {
             let mut acc = 0.0f32;
             let mut out = [0.0f32; 8];
             for arena in index.arenas() {
-                arena.for_each_run(&mut |es, cols, stride| {
-                    let n = es.len();
+                arena.for_each_run(&mut |positions, cols, stride| {
+                    let n = positions.len();
                     let mut base = 0;
                     while base < n {
                         let len = (n - base).min(8);
@@ -161,22 +141,23 @@ fn probe(label: &str, data: &Arc<Dataset>, config: &IndexConfig) -> u64 {
     }
 
     // Sanity, two tiers. Bit tier: per-leaf and run-batched chunkings of
-    // the SoA kernel must produce bit-identical per-entry bounds, so
+    // the batched kernel must produce bit-identical per-entry bounds, so
     // their order-independent bit checksums must be *equal* — this is
-    // the value CI sweeps across leaf thresholds. Value tier: AoS agrees
-    // with SoA (f64 accumulation so the check isn't at the mercy of
-    // 50k-term f32 summation order).
-    let mut aos_sum = 0.0f64;
+    // the value CI sweeps across leaf thresholds. Value tier: the
+    // one-word kernel over summaries gathered back from the columns
+    // agrees with the batched kernel (f64 accumulation so the check
+    // isn't at the mercy of 50k-term f32 summation order).
+    let mut word_sum = 0.0f64;
     let mut soa_sum = 0.0f64;
     let mut leaf_bits = 0u64;
     let mut run_bits = 0u64;
     let mut out = [0.0f32; 8];
     for arena in index.arenas() {
         arena.for_each_leaf(&mut |l| {
-            for e in l.entries {
-                aos_sum += f64::from(table.mindist_sq(&e.sax));
+            for e in l.entries() {
+                word_sum += f64::from(table.mindist_sq(&e.sax));
             }
-            let n = l.entries.len();
+            let n = l.positions.len();
             let mut base = 0;
             while base < n {
                 let len = (n - base).min(8);
@@ -188,8 +169,8 @@ fn probe(label: &str, data: &Arc<Dataset>, config: &IndexConfig) -> u64 {
                 base += len;
             }
         });
-        arena.for_each_run(&mut |es, cols, stride| {
-            let n = es.len();
+        arena.for_each_run(&mut |positions, cols, stride| {
+            let n = positions.len();
             let mut base = 0;
             while base < n {
                 let len = (n - base).min(8);
@@ -201,7 +182,7 @@ fn probe(label: &str, data: &Arc<Dataset>, config: &IndexConfig) -> u64 {
             }
         });
     }
-    assert!((aos_sum - soa_sum).abs() <= 1e-3 * aos_sum.abs() + 1e-3);
+    assert!((word_sum - soa_sum).abs() <= 1e-3 * word_sum.abs() + 1e-3);
     assert_eq!(
         leaf_bits, run_bits,
         "run-batched chunking changed a lower bound bit"
@@ -216,7 +197,7 @@ fn probe(label: &str, data: &Arc<Dataset>, config: &IndexConfig) -> u64 {
 
     println!(
         "  build {build:.2?} · leaves {} · height {} · mindist sweep: \
-         aos {aos_sweep:.3?} · per-leaf simd {:.3?} / scalar {:.3?} · \
+         per-leaf simd {:.3?} / scalar {:.3?} · \
          run-batched simd {:.3?} / scalar {:.3?} · exact_1w {exact:.3?}",
         index.num_leaves(),
         index.max_height(),

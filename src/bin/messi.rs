@@ -670,7 +670,7 @@ fn cmd_info(opts: &Opts) -> Result<(), CliError> {
         hist[3],
     );
     println!(
-        "storage: node arenas {:.2} MB + leaf pools {:.2} MB (flat, 2 allocations/subtree)",
+        "storage: node arenas {:.2} MB + leaf entries {:.2} MB (positions + symbol columns, flat)",
         index.node_storage_bytes() as f64 / (1 << 20) as f64,
         index.entry_storage_bytes() as f64 / (1 << 20) as f64
     );

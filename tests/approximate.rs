@@ -145,10 +145,10 @@ fn reference_home_leaf_best(index: &MessiIndex, query: &[f32]) -> (f32, u32) {
     let arena = index.root(key).expect("member query has a home subtree");
     let id = arena.descend_by_sax(TreeArena::ROOT, &sax, segments);
     let mut best = (f32::INFINITY, u32::MAX);
-    for e in arena.leaf_entries(id) {
-        let d = ed_sq_scalar(query, index.dataset().series(e.pos as usize));
+    for &pos in arena.leaf_positions(id) {
+        let d = ed_sq_scalar(query, index.dataset().series(pos as usize));
         if d < best.0 {
-            best = (d, e.pos);
+            best = (d, pos);
         }
     }
     best

@@ -126,7 +126,7 @@ fn rebuilds_of_same_data_are_structurally_identical() {
             index
                 .root(key)
                 .unwrap()
-                .for_each_leaf(&mut |l| v.extend(l.entries.iter().map(|e| e.pos)));
+                .for_each_leaf(&mut |l| v.extend_from_slice(l.positions));
             v.sort_unstable();
             per_key.push((key, v));
         }

@@ -117,11 +117,11 @@ proptest! {
             index
                 .root(key)
                 .unwrap()
-                .for_each_leaf(&mut |l| a.extend(l.entries.iter().map(|e| e.pos)));
+                .for_each_leaf(&mut |l| a.extend_from_slice(l.positions));
             loaded
                 .root(key)
                 .unwrap()
-                .for_each_leaf(&mut |l| b.extend(l.entries.iter().map(|e| e.pos)));
+                .for_each_leaf(&mut |l| b.extend_from_slice(l.positions));
             prop_assert_eq!(a, b, "leaf contents for key {} changed order", key);
         }
 
@@ -259,4 +259,56 @@ proptest! {
         prop_assert!(load_index(&path, data).is_ok());
         std::fs::remove_file(&path).ok();
     }
+}
+
+/// Saves `index`, reloads it over `data` and saves the reloaded index
+/// again; returns both files' bytes.
+fn save_load_save(index: &MessiIndex, data: &Arc<Dataset>, name: &str) -> (Vec<u8>, Vec<u8>) {
+    let mut path = std::env::temp_dir();
+    path.push(format!(
+        "messi-persistence-stable-{}-{name}",
+        std::process::id()
+    ));
+    save_index(index, &path).expect("save");
+    let first = std::fs::read(&path).expect("read back");
+    let loaded = load_index(&path, Arc::clone(data)).expect("load");
+    save_index(&loaded, &path).expect("re-save");
+    let second = std::fs::read(&path).expect("read back");
+    std::fs::remove_file(&path).ok();
+    (first, second)
+}
+
+/// The writer's output is a pure function of the index: save → load →
+/// save reproduces the snapshot byte for byte, on a forest-grouped
+/// index (members are sliced back out of shared arenas, their summaries
+/// gathered from the symbol columns) and again after `insert_batch`
+/// (carried-over and rebuilt subtrees regrouped).
+#[test]
+fn save_load_save_is_byte_identical() {
+    let data = Arc::new(messi::series::gen::generate(
+        DatasetKind::RandomWalk,
+        1500,
+        31,
+    ));
+    let (index, _) = MessiIndex::build(Arc::clone(&data), &IndexConfig::for_tests());
+    assert!(
+        index.arenas().len() < index.touched_keys().len(),
+        "the build must group sparse subtrees into forest arenas"
+    );
+    let (first, second) = save_load_save(&index, &data, "built");
+    assert!(
+        first == second,
+        "re-saving a loaded snapshot changed its bytes"
+    );
+
+    let tail = messi::series::gen::generate(DatasetKind::RandomWalk, 300, 32);
+    let grown = Arc::new(data.concat([&tail]).expect("same series length"));
+    let grown_index = index
+        .insert_batch(Arc::clone(&grown), data.len())
+        .expect("within the position ceiling");
+    let (first, second) = save_load_save(&grown_index, &grown, "grown");
+    assert!(
+        first == second,
+        "re-saving a grown snapshot changed its bytes"
+    );
 }
