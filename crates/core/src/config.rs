@@ -31,41 +31,6 @@ pub fn auto_leaf_capacity(num_series: usize) -> usize {
     (num_series / 512).clamp(64, 2_000)
 }
 
-/// Whether the lower-bound tier may coalesce adjacent small leaves into
-/// one run-batched scan.
-///
-/// Coalescing is bit-identical to per-leaf scanning (the SoA kernel
-/// accumulates each entry independently), so the only reason to turn it
-/// off is ablation: the `MESSI_NO_RUN_BATCH` environment escape hatch
-/// (mirroring `MESSI_FORCE_SCALAR`) forces [`RunBatchPolicy::PerLeaf`]
-/// process-wide regardless of this setting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RunBatchPolicy {
-    /// Coalesce queue insertions over leaf runs (default).
-    #[default]
-    Auto,
-    /// Queue and scan one leaf at a time (the pre-run-batching path).
-    PerLeaf,
-}
-
-/// Cached result of the `MESSI_NO_RUN_BATCH` check: 0 = unknown,
-/// 1 = batching allowed, 2 = disabled by the environment.
-static RUN_BATCH_STATE: std::sync::atomic::AtomicU8 = std::sync::atomic::AtomicU8::new(0);
-
-/// The `MESSI_NO_RUN_BATCH` escape hatch (checked once, then cached).
-pub(crate) fn run_batch_env_allowed() -> bool {
-    use std::sync::atomic::Ordering;
-    match RUN_BATCH_STATE.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => {
-            let disabled = std::env::var_os("MESSI_NO_RUN_BATCH").is_some_and(|v| v != "0");
-            RUN_BATCH_STATE.store(if disabled { 2 } else { 1 }, Ordering::Relaxed);
-            !disabled
-        }
-    }
-}
-
 /// Which Best-So-Far implementation the search workers share.
 ///
 /// Applies to the 1-NN objectives (Euclidean and DTW). k-NN carries its
@@ -211,8 +176,6 @@ pub struct QueryConfig {
     /// objective — 1-NN, k-NN, and range, Euclidean or DTW — reports the
     /// same breakdown.
     pub collect_breakdown: bool,
-    /// Leaf-run coalescing in the lower-bound tier (default: on).
-    pub run_batch: RunBatchPolicy,
 }
 
 impl Default for QueryConfig {
@@ -224,7 +187,6 @@ impl Default for QueryConfig {
             bsf: BsfPolicy::Atomic,
             queue_policy: QueuePolicy::SharedRoundRobin,
             collect_breakdown: false,
-            run_batch: RunBatchPolicy::Auto,
         }
     }
 }
@@ -255,14 +217,7 @@ impl QueryConfig {
             bsf: BsfPolicy::Atomic,
             queue_policy: QueuePolicy::SharedRoundRobin,
             collect_breakdown: false,
-            run_batch: RunBatchPolicy::Auto,
         }
-    }
-
-    /// Whether this configuration coalesces leaf runs, after applying
-    /// the `MESSI_NO_RUN_BATCH` environment escape hatch.
-    pub fn run_batching(&self) -> bool {
-        self.run_batch == RunBatchPolicy::Auto && run_batch_env_allowed()
     }
 
     /// Validates the configuration.
@@ -303,20 +258,6 @@ mod tests {
         assert_eq!(auto_leaf_capacity(100_000), 195);
         assert_eq!(auto_leaf_capacity(1 << 20), 2_000);
         assert_eq!(auto_leaf_capacity(100_000_000), 2_000);
-    }
-
-    #[test]
-    fn per_leaf_policy_disables_run_batching() {
-        let qc = QueryConfig {
-            run_batch: RunBatchPolicy::PerLeaf,
-            ..QueryConfig::default()
-        };
-        assert!(!qc.run_batching());
-        // Auto defers to the (cached) environment check; absent the env
-        // var this is true, but CI also runs with MESSI_NO_RUN_BATCH=1,
-        // so only assert consistency with the cached gate.
-        let qc = QueryConfig::default();
-        assert_eq!(qc.run_batching(), run_batch_env_allowed());
     }
 
     #[test]

@@ -10,9 +10,10 @@
 //!    spot. Adjacent surviving leaves of the same arena leaf run are
 //!    coalesced into one queued [`LeafRun`], so the batched mindist
 //!    kernel later sees full 8-wide chunks instead of ~6-entry
-//!    fragments (disabled by `MESSI_NO_RUN_BATCH`, per-query policy, or
-//!    a δ-budgeted objective — see
-//!    [`SearchObjective::coalescing_allowed`]).
+//!    fragments. This is the one lower-bound schedule; only a
+//!    δ-budgeted objective vetoes it (see
+//!    [`SearchObjective::coalescing_allowed`]), which keeps its runs
+//!    single leaves.
 //! 2. **Barrier** — queued objectives only: insertion must complete
 //!    before ordered processing starts (Alg. 6 line 7).
 //! 3. **Queue processing** — pop the minimum-bound run, re-check its
@@ -57,12 +58,6 @@ pub(crate) struct Engine<'e, 'a> {
     pub(crate) queue_policy: QueuePolicy,
     pub(crate) num_workers: usize,
     pub(crate) collect_breakdown: bool,
-    /// Whether adjacent surviving leaves of one run may be coalesced
-    /// into a single queued/scanned [`LeafRun`] (the per-query
-    /// [`RunBatchPolicy`](crate::config::RunBatchPolicy) and the
-    /// `MESSI_NO_RUN_BATCH` escape hatch, resolved by the query path).
-    /// The driver additionally honors the objective's veto.
-    pub(crate) coalesce: bool,
 }
 
 /// A run of consecutive surviving leaves accumulated during the tree
@@ -190,7 +185,6 @@ fn queued_worker<'a, M: Metric, O: SearchObjective>(
         .barrier
         .expect("queued objective requires a barrier");
     let nq = queues.len();
-    let coalesce = engine.coalesce && objective.coalescing_allowed();
 
     // Phase A: tree pass (Alg. 6 lines 3–6). Under the local-queue
     // policy the cursor is pinned to the worker's own queue and the
@@ -208,7 +202,6 @@ fn queued_worker<'a, M: Metric, O: SearchObjective>(
             queues,
             arena,
             TreeArena::ROOT,
-            coalesce,
             &mut pending,
             &mut cursor,
             local,
@@ -267,7 +260,6 @@ fn scan_worker<M: Metric, O: SearchObjective>(
     timers: &mut PhaseTimers,
     results: &mut O::Local,
 ) {
-    let coalesce = engine.coalesce && objective.coalescing_allowed();
     let t_phase = Instant::now();
     while let Some(i) = dispenser.next() {
         let arena = &engine.index.arenas[i];
@@ -277,7 +269,6 @@ fn scan_worker<M: Metric, O: SearchObjective>(
             objective,
             arena,
             TreeArena::ROOT,
-            coalesce,
             &mut pending,
             local,
             timers,
@@ -296,9 +287,9 @@ fn scan_worker<M: Metric, O: SearchObjective>(
 
 /// Extends `pending` with the surviving leaf `ord` (mindist `d`) when it
 /// is the next consecutive member of the same arena run, else returns
-/// the pending run to flush and restarts accumulation at `ord`. With
-/// coalescing off, every leaf flushes its predecessor — single-leaf
-/// runs, the pre-batching behavior.
+/// the pending run to flush and restarts accumulation at `ord`. When
+/// the objective vetoes coalescing, every leaf flushes its predecessor,
+/// so every run is a single leaf.
 #[inline]
 fn accumulate(
     arena: &TreeArena,
@@ -382,7 +373,6 @@ fn insert_subtree<'a, M: Metric, O: SearchObjective>(
     queues: &QueueSet<LeafRun<'a>>,
     arena: &'a TreeArena,
     id: NodeId,
-    coalesce: bool,
     pending: &mut Option<PendingRun>,
     cursor: &mut usize,
     local: &mut LocalStats,
@@ -397,18 +387,17 @@ fn insert_subtree<'a, M: Metric, O: SearchObjective>(
     }
     if arena.is_leaf(id) {
         let ord = arena.leaf_ordinal(id);
-        if let Some(p) = accumulate(arena, pending, coalesce, ord, d) {
+        if let Some(p) = accumulate(arena, pending, objective.coalescing_allowed(), ord, d) {
             push_pending(engine, queues, arena, p, cursor, local, timers);
         }
     } else {
         let (left, right) = arena.children(id);
         insert_subtree(
-            engine, metric, objective, queues, arena, left, coalesce, pending, cursor, local,
-            timers, results,
+            engine, metric, objective, queues, arena, left, pending, cursor, local, timers, results,
         );
         insert_subtree(
-            engine, metric, objective, queues, arena, right, coalesce, pending, cursor, local,
-            timers, results,
+            engine, metric, objective, queues, arena, right, pending, cursor, local, timers,
+            results,
         );
     }
 }
@@ -421,7 +410,6 @@ fn scan_subtree<M: Metric, O: SearchObjective>(
     objective: &O,
     arena: &TreeArena,
     id: NodeId,
-    coalesce: bool,
     pending: &mut Option<PendingRun>,
     local: &mut LocalStats,
     timers: &mut PhaseTimers,
@@ -435,16 +423,16 @@ fn scan_subtree<M: Metric, O: SearchObjective>(
     }
     if arena.is_leaf(id) {
         let ord = arena.leaf_ordinal(id);
-        if let Some(p) = accumulate(arena, pending, coalesce, ord, d) {
+        if let Some(p) = accumulate(arena, pending, objective.coalescing_allowed(), ord, d) {
             scan_pending(metric, objective, arena, p, local, timers, results);
         }
     } else {
         let (left, right) = arena.children(id);
         scan_subtree(
-            metric, objective, arena, left, coalesce, pending, local, timers, results,
+            metric, objective, arena, left, pending, local, timers, results,
         );
         scan_subtree(
-            metric, objective, arena, right, coalesce, pending, local, timers, results,
+            metric, objective, arena, right, pending, local, timers, results,
         );
     }
 }
@@ -479,29 +467,19 @@ fn process_queue<M: Metric, O: SearchObjective>(
                     queue.mark_finished();
                     return;
                 }
-                // Budgeted objectives admit member leaves one at a time
-                // — exactly one charge per leaf, coalesced or not. (With
-                // a finite budget coalescing is vetoed, so runs here are
-                // single leaves; the prefix path is pure defense.)
-                let mut admitted = 0;
-                while admitted < run.leaf_count() && objective.admit_leaf(results) {
-                    admitted += 1;
-                }
-                let vetoed = admitted < run.leaf_count();
-                if admitted > 0 {
-                    let run = if vetoed { run.prefix(admitted) } else { run };
-                    timers.timed(
-                        |t| &mut t.dist_calc_ns,
-                        || scan_run(metric, objective, run, local, results),
-                    );
-                }
-                if vetoed {
+                // A budgeted objective vetoes coalescing, so its runs
+                // are single leaves: one admission charges one leaf.
+                if !objective.admit_leaf(results) {
                     // Early termination (δ-budgeted objectives): the
                     // visit budget is spent, so this queue — and, via
                     // the same veto, every other — winds down.
                     queue.mark_finished();
                     return;
                 }
+                timers.timed(
+                    |t| &mut t.dist_calc_ns,
+                    || scan_run(metric, objective, run, local, results),
+                );
             }
         }
     }

@@ -16,9 +16,9 @@
 //!   Euclidean with iSAX mindists, or banded DTW with the LB_Keogh
 //!   envelope cascade (Fig. 19).
 //! * `SearchObjective` (private) — what the query is looking for:
-//!   1-NN's shrinking BSF, k-NN's k-th-best bound, range search's fixed
-//!   ε², or δ-ε-approximate search's inflated `bsf/(1+ε)²` bound with a
-//!   δ-derived early-termination budget.
+//!   1-NN's shrinking BSF (exact, or δ-ε-approximate with the inflated
+//!   `bsf/(1+ε)²` bound and a δ-derived early-termination budget),
+//!   k-NN's k-th-best bound, or range search's fixed ε².
 //! * [`QueryContext`] — reusable scratch (queue set, barrier, mindist
 //!   table) so batch workloads stop paying per-query allocations.
 //!
@@ -39,5 +39,5 @@ pub(crate) use context::{Scratch, TableSpec};
 pub(crate) use driver::{run, Engine};
 pub(crate) use metric::{DtwMetric, EuclideanMetric, Metric};
 pub(crate) use objective::{
-    ApproxObjective, KnnObjective, NearestObjective, RangeObjective, ShardSlot, SharedBound,
+    KnnObjective, NearestObjective, RangeObjective, ShardSlot, SharedBound,
 };

@@ -5,18 +5,18 @@
 //! surviving real distances. The three concrete objectives mirror the
 //! three similarity-search primitives of the iSAX index family:
 //!
-//! * [`NearestObjective`] — exact 1-NN: a scalar shrinking Best-So-Far
+//! * [`NearestObjective`] — 1-NN: a scalar shrinking Best-So-Far
 //!   (Alg. 5–9), in the atomic or locked flavor of
-//!   [`BsfPolicy`](crate::config::BsfPolicy).
+//!   [`BsfPolicy`](crate::config::BsfPolicy). Exact search is its
+//!   `ε = 0, δ = 1` corner; δ-ε-approximate search (the journal
+//!   version's fourth query mode) prunes at the inflated `bsf/(1+ε)²`
+//!   and may carry a shared leaf-visit budget derived from δ that
+//!   vetoes further queue processing once spent.
 //! * [`KnnObjective`] — exact k-NN: the bound is the k-th best distance
 //!   held by a shared [`KnnSet`](crate::exec::KnnSet).
 //! * [`RangeObjective`] — ε-range: a *fixed* bound, so no priority order
 //!   (and hence no queues or barrier) is needed — the driver runs in
 //!   queue-less mode and matches are collected instead of minimized.
-//! * [`ApproxObjective`] — δ-ε-approximate 1-NN (the journal version's
-//!   fourth query mode): a shrinking BSF whose *pruning* bound is the
-//!   inflated `bsf/(1+ε)²`, with an optional shared leaf-visit budget
-//!   derived from δ that vetoes further queue processing once spent.
 //!
 //! The unification hinges on one discipline shared by all of them: a
 //! lower bound `>= bound()` prunes, and a real distance `< bound()` is
@@ -158,29 +158,29 @@ pub(crate) trait SearchObjective: Sync {
     /// Notifies the objective that a candidate (a tree node during
     /// traversal, or a popped queue entry at second filtering) with lower
     /// bound `lb` was pruned by [`SearchObjective::bound`]. Exact
-    /// objectives ignore it; the approximate objective uses it to count
-    /// prunes that only its ε-inflated bound allowed.
+    /// objectives ignore it; an approximate [`NearestObjective`] uses it
+    /// to count prunes that only its ε-inflated bound allowed.
     #[inline]
     fn on_prune(&self, _local: &mut Self::Local, _lb: f32) {}
 
     /// Asks permission to scan one more leaf during queue processing.
     /// Returning `false` finishes the worker's current queue — the early
-    /// termination hook of the δ-budgeted approximate objective. Exact
-    /// objectives always proceed. The driver charges one call per
-    /// *member leaf* of a popped run, so accounting is independent of
-    /// coalescing.
+    /// termination hook of a δ-budgeted [`NearestObjective`]. Exact
+    /// objectives always proceed. The driver asks once per popped run;
+    /// an objective with a budget vetoes coalescing, so each of its runs
+    /// is one leaf and each call charges exactly one leaf.
     #[inline]
     fn admit_leaf(&self, _local: &mut Self::Local) -> bool {
         true
     }
 
     /// Whether the driver may coalesce adjacent surviving leaves into
-    /// multi-leaf queued runs for this objective. Exact objectives
-    /// always allow it (run keys are member-minimum mindists, so
-    /// pruning and answers are unchanged); a δ-budgeted objective
-    /// vetoes it, because the budget's *order* of leaf charges — and
-    /// hence which leaves a tiny budget reaches — must match the
-    /// per-leaf schedule exactly.
+    /// multi-leaf queued runs for this objective. Objectives without a
+    /// leaf budget always allow it (run keys are member-minimum
+    /// mindists, so pruning and answers are unchanged); a δ-budgeted
+    /// objective vetoes it, because the budget charges leaves in pop
+    /// order, and a run popped at its best member's key would reorder
+    /// which leaves a tiny budget reaches.
     #[inline]
     fn coalescing_allowed(&self) -> bool {
         true
@@ -189,65 +189,6 @@ pub(crate) trait SearchObjective: Sync {
     /// Folds a worker's local results into the shared result at worker
     /// exit.
     fn absorb(&self, local: Self::Local);
-}
-
-/// Exact 1-NN: a scalar shrinking BSF seeded by the approximate search.
-///
-/// Inside a sharded scatter the objective additionally mirrors every BSF
-/// improvement into the cross-shard [`SharedBound`] and prunes against
-/// it. The shared bound is the min over *all* shards' offers and seeds,
-/// so it is always `<=` the local BSF — pruning against it is both
-/// correct (it can never undercut the true global answer distance) and
-/// strictly tighter than the local bound.
-#[derive(Debug)]
-pub(crate) struct NearestObjective<'s> {
-    bsf: Bsf,
-    shared: Option<&'s SharedBound>,
-}
-
-impl<'s> NearestObjective<'s> {
-    pub(crate) fn new(
-        policy: BsfPolicy,
-        dist_sq: f32,
-        pos: u32,
-        shared: Option<&'s SharedBound>,
-    ) -> Self {
-        Self {
-            bsf: Bsf::new(policy, dist_sq, pos),
-            shared,
-        }
-    }
-
-    /// The final shard-local `(squared distance, position)` answer.
-    pub(crate) fn answer(&self) -> (f32, u32) {
-        self.bsf.load_with_pos()
-    }
-}
-
-impl SearchObjective for NearestObjective<'_> {
-    type Local = ();
-    const USES_QUEUES: bool = true;
-
-    #[inline]
-    fn bound(&self) -> f32 {
-        match self.shared {
-            Some(shared) => shared.load(),
-            None => self.bsf.load(),
-        }
-    }
-
-    #[inline]
-    fn offer(&self, _local: &mut (), dist_sq: f32, pos: u32) -> bool {
-        let improved = self.bsf.update_min(dist_sq, pos);
-        if improved {
-            if let Some(shared) = self.shared {
-                shared.update_min(dist_sq);
-            }
-        }
-        improved
-    }
-
-    fn absorb(&self, _local: ()) {}
 }
 
 /// Exact k-NN: the bound is the k-th best distance of a shared
@@ -354,20 +295,21 @@ impl SearchObjective for RangeObjective {
     }
 }
 
-/// Per-worker scratch of [`ApproxObjective`]: accounting accumulated in
-/// plain registers and absorbed into the shared counters at worker exit.
+/// Per-worker scratch of [`NearestObjective`]: accounting accumulated
+/// in plain registers and absorbed into the shared counters at worker
+/// exit.
 #[derive(Debug, Default)]
-pub(crate) struct ApproxLocal {
+pub(crate) struct NearestLocal {
     /// Prunes that only the ε-inflated bound allowed (`lb < bsf` but
     /// `lb >= bsf/(1+ε)²`).
     inflation_prunes: u64,
 }
 
-/// δ-ε-approximate 1-NN: the journal paper's probabilistic query mode as
-/// a fourth objective over the same driver.
+/// 1-NN: a scalar shrinking BSF seeded by the home-leaf search, exact or
+/// δ-ε-approximate (the journal paper's probabilistic query mode).
 ///
-/// Two deviations from [`NearestObjective`], both vanishing at the exact
-/// corner `ε = 0, δ = 1`:
+/// Exact search is the corner `ε = 0, δ = 1`; away from it the objective
+/// deviates in two ways:
 ///
 /// * **ε-inflated pruning** — [`SearchObjective::bound`] returns
 ///   `bsf/(1+ε)²` instead of the raw BSF (all values squared distances),
@@ -381,18 +323,21 @@ pub(crate) struct ApproxLocal {
 ///   phase leaf scans. Once spent, [`SearchObjective::admit_leaf`] vetoes
 ///   further scanning and the queues wind down; the best-so-far at that
 ///   point is the answer. The budget is `ceil(δ · total leaves)` (chosen
-///   by the query path), so `δ = 1` can never exhaust it — every queued
-///   leaf is admitted at most once — and the guarantee degrades
-///   gracefully as δ shrinks: each queue is drained best-bound-first, so
-///   the budget goes to (approximately, under the multi-queue
-///   configuration — exactly, single-queue) the most promising leaves.
+///   by the query path), so `δ = 1` carries no budget at all, and the
+///   guarantee degrades gracefully as δ shrinks: each queue is drained
+///   best-bound-first, so the budget goes to (approximately, under the
+///   multi-queue configuration — exactly, single-queue) the most
+///   promising leaves.
 ///
-/// Under sharding the ε-inflation composes with the cross-shard
-/// [`SharedBound`]: the pruning bound becomes `shared/(1+ε)²`, and BSF
-/// improvements are mirrored into the shared bound (raw, uninflated —
-/// the inflation is applied at read time, once). The δ budget stays
-/// per-shard: each shard's budget is derived from *its own* leaf count.
-pub(crate) struct ApproxObjective<'s> {
+/// Inside a sharded scatter the objective mirrors every BSF improvement
+/// into the cross-shard [`SharedBound`] (raw, uninflated) and prunes
+/// against it, inflated at read time: `shared/(1+ε)²`. The shared bound
+/// is the min over *all* shards' offers and seeds, so it is always `<=`
+/// the local BSF — pruning against it can never undercut the true global
+/// answer distance and is strictly tighter than the local bound. The δ
+/// budget stays per-shard: each shard's budget is derived from *its own*
+/// leaf count.
+pub(crate) struct NearestObjective<'s> {
     bsf: Bsf,
     /// Cross-shard raw BSF, when part of a sharded scatter.
     shared: Option<&'s SharedBound>,
@@ -408,7 +353,7 @@ pub(crate) struct ApproxObjective<'s> {
     inflation_prunes: Counter,
 }
 
-impl<'s> ApproxObjective<'s> {
+impl<'s> NearestObjective<'s> {
     /// # Panics
     ///
     /// Panics if `epsilon` is negative or non-finite.
@@ -465,8 +410,8 @@ impl<'s> ApproxObjective<'s> {
     }
 }
 
-impl SearchObjective for ApproxObjective<'_> {
-    type Local = ApproxLocal;
+impl SearchObjective for NearestObjective<'_> {
+    type Local = NearestLocal;
     const USES_QUEUES: bool = true;
 
     #[inline]
@@ -475,7 +420,7 @@ impl SearchObjective for ApproxObjective<'_> {
     }
 
     #[inline]
-    fn offer(&self, _local: &mut ApproxLocal, dist_sq: f32, pos: u32) -> bool {
+    fn offer(&self, _local: &mut NearestLocal, dist_sq: f32, pos: u32) -> bool {
         let improved = self.bsf.update_min(dist_sq, pos);
         if improved {
             if let Some(shared) = self.shared {
@@ -486,9 +431,14 @@ impl SearchObjective for ApproxObjective<'_> {
     }
 
     #[inline]
-    fn on_prune(&self, local: &mut ApproxLocal, lb: f32) {
+    fn on_prune(&self, local: &mut NearestLocal, lb: f32) {
+        // At scale 1.0 (exact search) bound() is the raw BSF, so nothing
+        // is an inflation prune: skip the extra bound load.
+        if self.bound_scale == 1.0 {
+            return;
+        }
         // The raw BSF would have kept this candidate; only the inflation
-        // cut it. Never fires at ε = 0, where bound() == bsf.
+        // cut it.
         if lb < self.raw_bound() {
             local.inflation_prunes += 1;
         }
@@ -503,7 +453,7 @@ impl SearchObjective for ApproxObjective<'_> {
     }
 
     #[inline]
-    fn admit_leaf(&self, _local: &mut ApproxLocal) -> bool {
+    fn admit_leaf(&self, _local: &mut NearestLocal) -> bool {
         match &self.budget {
             None => true,
             Some(budget) => {
@@ -517,7 +467,7 @@ impl SearchObjective for ApproxObjective<'_> {
         }
     }
 
-    fn absorb(&self, local: ApproxLocal) {
+    fn absorb(&self, local: NearestLocal) {
         self.inflation_prunes.add(local.inflation_prunes);
     }
 }
@@ -578,11 +528,27 @@ mod tests {
 
     #[test]
     fn nearest_objective_shrinks_monotonically() {
-        let o = NearestObjective::new(BsfPolicy::Atomic, 10.0, 3, None);
+        let o = NearestObjective::new(BsfPolicy::Atomic, 10.0, 3, 0.0, None, None);
+        let mut local = NearestLocal::default();
         assert_eq!(o.bound(), 10.0);
-        assert!(o.offer(&mut (), 4.0, 7));
-        assert!(!o.offer(&mut (), 6.0, 9), "worse than bound");
+        assert!(o.offer(&mut local, 4.0, 7));
+        assert!(!o.offer(&mut local, 6.0, 9), "worse than bound");
         assert_eq!(o.answer(), (4.0, 7));
+    }
+
+    #[test]
+    fn only_a_leaf_budget_vetoes_coalescing() {
+        let exact = NearestObjective::new(BsfPolicy::Atomic, 1.0, 0, 0.0, None, None);
+        let inflated = NearestObjective::new(BsfPolicy::Atomic, 1.0, 0, 0.5, None, None);
+        let budgeted = NearestObjective::new(BsfPolicy::Atomic, 1.0, 0, 0.0, Some(3), None);
+        let spent = NearestObjective::new(BsfPolicy::Atomic, 1.0, 0, 0.1, Some(0), None);
+        assert!(exact.coalescing_allowed());
+        assert!(inflated.coalescing_allowed());
+        assert!(!budgeted.coalescing_allowed());
+        assert!(!spent.coalescing_allowed());
+        let set = KnnSet::new(2);
+        assert!(KnnObjective::new(&set, 0).coalescing_allowed());
+        assert!(RangeObjective::new(1.0, 0).coalescing_allowed());
     }
 
     #[test]
@@ -607,11 +573,12 @@ mod tests {
 
     #[test]
     fn approx_objective_at_exact_corner_matches_nearest() {
-        // ε = 0, δ = 1: the bound is the raw BSF bit-for-bit and every
-        // leaf is admitted — the NearestObjective contract exactly.
-        let o = ApproxObjective::new(BsfPolicy::Atomic, 10.0, 3, 0.0, None, None);
+        // ε = 0, δ = 1 (how exact search builds it): the bound is the
+        // raw BSF bit for bit, every leaf is admitted and no prune is an
+        // inflation prune.
+        let o = NearestObjective::new(BsfPolicy::Atomic, 10.0, 3, 0.0, None, None);
         assert_eq!(o.bound().to_bits(), 10.0f32.to_bits());
-        let mut local = ApproxLocal::default();
+        let mut local = NearestLocal::default();
         assert!(o.admit_leaf(&mut local));
         assert!(o.offer(&mut local, 4.0, 7));
         assert_eq!(o.bound().to_bits(), 4.0f32.to_bits());
@@ -625,10 +592,10 @@ mod tests {
 
     #[test]
     fn approx_objective_inflates_the_bound_and_counts_it() {
-        let o = ApproxObjective::new(BsfPolicy::Atomic, 9.0, 1, 0.5, None, None);
+        let o = NearestObjective::new(BsfPolicy::Atomic, 9.0, 1, 0.5, None, None);
         // bound = 9 / 1.5² = 4.
         assert!((o.bound() - 4.0).abs() < 1e-6);
-        let mut local = ApproxLocal::default();
+        let mut local = NearestLocal::default();
         // lb in [bound, bsf): pruned only because of the inflation.
         o.on_prune(&mut local, 5.0);
         // lb >= bsf: the raw BSF would have pruned it too.
@@ -639,8 +606,8 @@ mod tests {
 
     #[test]
     fn approx_objective_budget_vetoes_after_exhaustion() {
-        let o = ApproxObjective::new(BsfPolicy::Atomic, 1.0, 0, 0.0, Some(2), None);
-        let mut local = ApproxLocal::default();
+        let o = NearestObjective::new(BsfPolicy::Atomic, 1.0, 0, 0.0, Some(2), None);
+        let mut local = NearestLocal::default();
         assert!(o.admit_leaf(&mut local));
         assert!(o.admit_leaf(&mut local));
         assert!(!o.admit_leaf(&mut local), "budget of 2 spent");
@@ -652,6 +619,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "finite non-negative")]
     fn approx_objective_rejects_negative_epsilon() {
-        ApproxObjective::new(BsfPolicy::Atomic, 1.0, 0, -0.1, None, None);
+        NearestObjective::new(BsfPolicy::Atomic, 1.0, 0, -0.1, None, None);
     }
 }

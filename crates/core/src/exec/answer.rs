@@ -12,8 +12,8 @@
 use super::spec::{MetricSpec, Objective, QuerySpec};
 use crate::config::QueryConfig;
 use crate::engine::{
-    self, ApproxObjective, DtwMetric, Engine, EuclideanMetric, KnnObjective, Metric,
-    NearestObjective, QueryContext, RangeObjective, Scratch, ShardSlot, TableSpec,
+    self, DtwMetric, Engine, EuclideanMetric, KnnObjective, Metric, NearestObjective, QueryContext,
+    RangeObjective, Scratch, ShardSlot, TableSpec,
 };
 use crate::index::MessiIndex;
 use crate::shard::global_pos;
@@ -433,18 +433,30 @@ impl<'a> Run<'_, 'a> {
             queue_policy: config.queue_policy,
             num_workers: config.num_workers,
             collect_breakdown: config.collect_breakdown,
-            coalesce: config.run_batching(),
-        };
-        let one = |(dist_sq, pos): (f32, u32)| {
-            let pos = global_pos(slot.offset, pos);
-            vec![QueryAnswer { pos, dist_sq }]
         };
         let init_ns = self.t_start.elapsed().as_nanos() as u64;
         let (answers, approx) = match self.spec.objective {
-            Objective::Exact => {
-                let objective = NearestObjective::new(config.bsf, d0, p0, slot.shared);
+            Objective::Exact | Objective::Approx { .. } => {
+                // Exact search is the ε = 0, δ = 1 corner: bound scale
+                // 1.0 and no budget. A δ < 1 derives a leaf-visit budget
+                // of ceil(δ · leaves) of this index (per shard when
+                // sharded).
+                let (epsilon, delta) = match self.spec.objective {
+                    Objective::Approx { epsilon, delta } => (epsilon, delta),
+                    _ => (0.0, 1.0),
+                };
+                let budget = (delta < 1.0)
+                    .then(|| (delta as f64 * self.index.num_leaves() as f64).ceil() as u64);
+                let objective =
+                    NearestObjective::new(config.bsf, d0, p0, epsilon, budget, slot.shared);
                 engine::run(&engine, metric, &objective);
-                (one(objective.answer()), None)
+                // Only approximate queries report this accounting, so
+                // exact statistics carry no stop reason.
+                let accounting = matches!(self.spec.objective, Objective::Approx { .. })
+                    .then(|| (objective.inflation_prunes(), objective.stop_reason()));
+                let (dist_sq, pos) = objective.answer();
+                let pos = global_pos(slot.offset, pos);
+                (vec![QueryAnswer { pos, dist_sq }], accounting)
             }
             Objective::Knn { .. } => {
                 let set = self.knn.expect("k-NN offers into a set");
@@ -455,17 +467,6 @@ impl<'a> Run<'_, 'a> {
                 let objective = RangeObjective::new(epsilon_sq, slot.offset);
                 engine::run(&engine, metric, &objective);
                 (objective.into_sorted(), None)
-            }
-            Objective::Approx { epsilon, delta } => {
-                // δ-derived leaf-visit budget: none at δ = 1, else
-                // ceil(δ · leaves) of this index (per shard when sharded).
-                let budget = (delta < 1.0)
-                    .then(|| (delta as f64 * self.index.num_leaves() as f64).ceil() as u64);
-                let objective =
-                    ApproxObjective::new(config.bsf, d0, p0, epsilon, budget, slot.shared);
-                engine::run(&engine, metric, &objective);
-                let accounting = (objective.inflation_prunes(), objective.stop_reason());
-                (one(objective.answer()), Some(accounting))
             }
         };
         let mut stats = self.stats.finish(

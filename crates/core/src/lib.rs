@@ -95,7 +95,6 @@ pub mod validate;
 
 pub use config::{
     auto_leaf_capacity, BsfPolicy, BuildVariant, IndexConfig, QueryConfig, QueuePolicy,
-    RunBatchPolicy,
 };
 pub use engine::QueryContext;
 pub use exec::{MetricSpec, Objective, QueryAnswer, QuerySpec, Schedule};

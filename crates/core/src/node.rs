@@ -419,33 +419,6 @@ pub(crate) struct LeafRun<'a> {
     pub(crate) stride: u32,
     /// Offset of `positions[0]` within the run.
     pub(crate) base: u32,
-    /// Pool-absolute entry boundaries of the member leaves:
-    /// `leaf_count() + 1` cumulative offsets, so member leaf `i` holds
-    /// entries `starts[i] - starts[0] .. starts[i+1] - starts[0]` of
-    /// `positions`.
-    pub(crate) starts: &'a [u32],
-}
-
-impl<'a> LeafRun<'a> {
-    /// Number of member leaves spanned by this run view.
-    #[inline]
-    pub(crate) fn leaf_count(&self) -> usize {
-        self.starts.len() - 1
-    }
-
-    /// The view truncated to its first `k` member leaves (budgeted
-    /// objectives admit leaves one at a time; a veto mid-run scans only
-    /// the admitted prefix).
-    #[inline]
-    pub(crate) fn prefix(&self, k: usize) -> LeafRun<'a> {
-        debug_assert!(k <= self.leaf_count());
-        let cut = (self.starts[k] - self.starts[0]) as usize;
-        LeafRun {
-            positions: &self.positions[..cut],
-            starts: &self.starts[..=k],
-            ..*self
-        }
-    }
 }
 
 /// The derived (never serialized) leaf-run metadata of an arena.
@@ -744,7 +717,6 @@ impl TreeArena {
             cols: &self.cols[run.lo as usize * MAX_SEGMENTS..run.hi as usize * MAX_SEGMENTS],
             stride: run.hi - run.lo,
             base: elo - run.lo,
-            starts: &self.leaf_starts[ord_lo as usize..=ord_hi as usize],
         }
     }
 
@@ -1500,7 +1472,6 @@ mod tests {
                 }
                 assert_eq!(arena.leaf_ordinal(id), ord);
                 let run = arena.leaf_run(ord, ord + 1);
-                assert_eq!(run.leaf_count(), 1);
                 assert_eq!(run.positions, arena.leaf_positions(id));
                 let l = arena.leaf(id);
                 assert_eq!(run.stride as usize, l.stride);
@@ -1512,16 +1483,9 @@ mod tests {
             for &(leaf_count, entry_count) in &shapes {
                 let hi = lo + leaf_count as u32;
                 let run = arena.leaf_run(lo, hi);
-                assert_eq!(run.leaf_count(), leaf_count);
                 assert_eq!(run.positions.len(), entry_count);
                 assert_eq!(run.base, 0, "whole run starts at its block base");
                 assert_eq!(run.stride as usize, entry_count);
-                // Prefix views truncate on member-leaf boundaries.
-                for k in 1..=leaf_count {
-                    let p = run.prefix(k);
-                    assert_eq!(p.leaf_count(), k);
-                    assert_eq!(p.positions.len(), (run.starts[k] - run.starts[0]) as usize);
-                }
                 lo = hi;
             }
         }

@@ -337,12 +337,10 @@ impl MindistTable {
     /// segment columns sequentially, so each lane accumulates its segment
     /// contributions in ascending segment order — exactly the order of
     /// [`MindistTable::mindist_sq_scalar`]. SIMD and scalar results are
-    /// therefore **bit-identical** per entry. When `use_simd` is set,
-    /// full chunks of 8 use the AVX2 gather kernel and 4–7-entry
-    /// remainders use the 4-wide SSE tail kernel; 1–3-entry remainders
-    /// always take the scalar twin (too short for a quad — and the same
-    /// arm in both dispatch modes, so forced-SIMD and forced-scalar runs
-    /// agree).
+    /// therefore **bit-identical** per entry. There are two tiers: when
+    /// `use_simd` is set, full chunks of 8 use the AVX2 gather kernel;
+    /// every partial chunk (1–7 entries, at most one per scanned run)
+    /// takes the scalar twin in both dispatch modes.
     ///
     /// # Panics
     ///
@@ -364,20 +362,12 @@ impl MindistTable {
             "SoA column block too short"
         );
         #[cfg(target_arch = "x86_64")]
-        if use_simd {
-            if len == 8 {
-                // SAFETY: bounds asserted above; `use_simd` is only true
-                // after `simd_available()` confirmed AVX2 (via
-                // `Kernel::uses_simd`).
-                unsafe { self.mindist_sq_soa_avx2(cols, n, base, out) };
-                return;
-            }
-            if len >= 4 {
-                // SAFETY: bounds asserted above; the tail kernel needs
-                // only SSE2, which is baseline on x86_64.
-                unsafe { self.mindist_sq_soa_tail_sse(cols, n, base, len, out) };
-                return;
-            }
+        if use_simd && len == 8 {
+            // SAFETY: bounds asserted above; `use_simd` is only true
+            // after `simd_available()` confirmed AVX2 (via
+            // `Kernel::uses_simd`).
+            unsafe { self.mindist_sq_soa_avx2(cols, n, base, out) };
+            return;
         }
         let _ = use_simd;
         self.mindist_sq_soa_scalar(cols, n, base, len, out);
@@ -386,8 +376,8 @@ impl MindistTable {
     /// Scalar twin of the SoA batch kernel: per entry, segment
     /// contributions summed in ascending segment order, reading the
     /// transposed columns. Bit-identical to
-    /// [`MindistTable::mindist_sq_scalar`] (on the entry's word), to the
-    /// AVX2 batch lanes, and to the SSE tail quad.
+    /// [`MindistTable::mindist_sq_scalar`] (on the entry's word) and to
+    /// the AVX2 batch lanes.
     pub fn mindist_sq_soa_scalar(
         &self,
         cols: &[u8],
@@ -397,63 +387,6 @@ impl MindistTable {
         out: &mut [f32; 8],
     ) {
         for (lane, slot) in out.iter_mut().take(len).enumerate() {
-            let mut sum = 0.0f32;
-            for s in 0..self.segments {
-                let sym = cols[s * n + base + lane] as usize;
-                sum += self.table[s * MAX_CARDINALITY + sym];
-            }
-            *slot = sum;
-        }
-    }
-
-    /// 4-wide SSE tail kernel for partial SoA chunks of 4–7 entries: the
-    /// first four entries ride one `__m128` accumulator (SSE2 has no
-    /// gather, so the four table lookups per segment are scalar loads
-    /// packed into a lane quad), entries 4..len finish on the scalar
-    /// loop. Every lane still sums its contributions in ascending
-    /// segment order with plain per-lane adds, so the result is
-    /// bit-identical to [`MindistTable::mindist_sq_soa_scalar`].
-    ///
-    /// # Safety
-    ///
-    /// `4 <= len <= 7`, `base + len <= n`, and
-    /// `cols.len() >= segments * n` (asserted by the public dispatcher).
-    /// SSE2 is baseline on `x86_64`, so no runtime feature check is
-    /// needed.
-    #[cfg(target_arch = "x86_64")]
-    unsafe fn mindist_sq_soa_tail_sse(
-        &self,
-        cols: &[u8],
-        n: usize,
-        base: usize,
-        len: usize,
-        out: &mut [f32; 8],
-    ) {
-        #[allow(clippy::wildcard_imports)]
-        use core::arch::x86_64::*;
-        debug_assert!((4..8).contains(&len));
-        // SAFETY (whole block): per segment `s < segments`, the four byte
-        // reads at `s*n + base .. +4` stay inside `cols` (`base + 4 <=
-        // base + len <= n`, block len `>= segments*n`); each table index
-        // is `sym + 256·s < segments·256` = table length; the store
-        // writes lanes 0..4 of the 8-lane `out`.
-        unsafe {
-            let mut acc = _mm_setzero_ps();
-            let tbl = self.table.as_ptr();
-            for s in 0..self.segments {
-                let p = cols.as_ptr().add(s * n + base);
-                let row = tbl.add(s * MAX_CARDINALITY);
-                let quad = _mm_setr_ps(
-                    *row.add(usize::from(*p)),
-                    *row.add(usize::from(*p.add(1))),
-                    *row.add(usize::from(*p.add(2))),
-                    *row.add(usize::from(*p.add(3))),
-                );
-                acc = _mm_add_ps(acc, quad);
-            }
-            _mm_storeu_ps(out.as_mut_ptr(), acc);
-        }
-        for (lane, slot) in out.iter_mut().enumerate().take(len).skip(4) {
             let mut sum = 0.0f32;
             for s in 0..self.segments {
                 let sym = cols[s * n + base + lane] as usize;
@@ -657,9 +590,9 @@ mod tests {
 
     #[test]
     fn sse_tail_quad_covers_every_partial_length() {
-        // Remainder chunks of 4–7 entries take the SSE tail kernel under
-        // SIMD dispatch; 1–3 stay scalar in both arms. Every length must
-        // be bit-identical to the per-entry scalar path.
+        // Every partial chunk (1–7 entries) takes the scalar twin under
+        // either dispatch, behind a full AVX2 chunk. Every length must be
+        // bit-identical to the per-entry scalar path.
         let config = SaxConfig::new(16, 256);
         let q = mk_series(256, 51);
         let table = MindistTable::new(&paa(&q, 16), config);
@@ -687,10 +620,10 @@ mod tests {
 
     #[test]
     fn rechunking_a_run_block_never_changes_a_bit() {
-        // The engine scans one column block under two chunk grids: the
-        // per-leaf grid restarts `base` at every leaf boundary, the
-        // run-batched grid walks the whole block in aligned chunks of 8.
-        // Per-entry results must be bit-identical under *any* chunking —
+        // The engine walks a run's column block in chunks of 8 from the
+        // first scanned entry, so the grid depends on which member leaves
+        // coalesced. Per-entry results must be bit-identical under *any*
+        // chunking —
         // here every window `[base, base + len)` of a 21-entry block, in
         // both dispatch modes.
         let config = SaxConfig::new(16, 256);

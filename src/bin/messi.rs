@@ -5,7 +5,7 @@
 //! messi build       --data data.mds --save index.msx [--shards N]
 //! messi info        --data data.mds [--load index.msx] [--shards N]
 //! messi query       --data data.mds [--queries q.mds | --num-queries 10] [--k 5] [--dtw] [--load index.msx] [--shards N]
-//! messi range       --data data.mds --epsilon 5.0 [--num-queries 5] [--dtw] [--load index.msx] [--shards N]
+//! messi range       --data data.mds --epsilon 5.0 [--queries q.mds | --num-queries 5] [--dtw] [--load index.msx] [--shards N]
 //! messi bench-query --data data.mds --objective {exact|knn|range|approx} --schedule {intra|inter} [--dtw] [--load index.msx] [--shards N] [--json out.json]
 //! messi serve       --data data.mds [--load index.msx] [--addr 127.0.0.1:7700] [--threads N] [--admission N] [--shards N] [--ingest-log delta.log]
 //! messi ingest      --addr 127.0.0.1:7700 --data new.mds [--batch N]
@@ -76,145 +76,143 @@ fn run(command: &str, rest: &[String]) -> Result<(), CliError> {
         return Ok(());
     }
     let opts = Opts::parse(rest)?;
-    match command {
-        "generate" => {
-            opts.expect_keys(command, &["kind", "count", "out", "len", "seed"])?;
-            cmd_generate(&opts)
-        }
-        "build" => {
-            opts.expect_keys(command, &["data", "save", "shards", "leaf-target"])?;
-            cmd_build(&opts)
-        }
-        "info" => {
-            opts.expect_keys(command, &["data", "load", "shards", "leaf-target"])?;
-            cmd_info(&opts)
-        }
-        "query" => {
-            opts.expect_keys(
-                command,
-                &[
-                    "data",
-                    "queries",
-                    "num-queries",
-                    "k",
-                    "dtw",
-                    "seed",
-                    "load",
-                    "kernel",
-                    "shards",
-                    "leaf-target",
-                ],
-            )?;
-            cmd_query(&opts)
-        }
-        "range" => {
-            opts.expect_keys(
-                command,
-                &[
-                    "data",
-                    "queries",
-                    "num-queries",
-                    "epsilon",
-                    "dtw",
-                    "seed",
-                    "load",
-                    "shards",
-                    "leaf-target",
-                ],
-            )?;
-            cmd_range(&opts)
-        }
-        "bench-query" => {
-            opts.expect_keys(
-                command,
-                &[
-                    "data",
-                    "queries",
-                    "num-queries",
-                    "objective",
-                    "k",
-                    "epsilon",
-                    "delta",
-                    "schedule",
-                    "parallelism",
-                    "workers",
-                    "dtw",
-                    "breakdown",
-                    "seed",
-                    "load",
-                    "json",
-                    "kernel",
-                    "shards",
-                    "leaf-target",
-                ],
-            )?;
-            cmd_bench_query(&opts)
-        }
-        "serve" => {
-            opts.expect_keys(
-                command,
-                &[
-                    "data",
-                    "load",
-                    "addr",
-                    "threads",
-                    "admission",
-                    "query-workers",
-                    "breakdown",
-                    "kernel",
-                    "shards",
-                    "leaf-target",
-                    "ingest-log",
-                    "republish-after",
-                ],
-            )?;
-            cmd_serve(&opts)
-        }
-        "ingest" => {
-            opts.expect_keys(command, &["addr", "data", "batch", "wait-ready"])?;
-            cmd_ingest(&opts)
-        }
-        "compact" => {
-            opts.expect_keys(
-                command,
-                &[
-                    "data",
-                    "log",
-                    "out",
-                    "load",
-                    "save",
-                    "shards",
-                    "leaf-target",
-                ],
-            )?;
-            cmd_compact(&opts)
-        }
-        "load-smoke" => {
-            opts.expect_keys(
-                command,
-                &[
-                    "addr",
-                    "data",
-                    "clients",
-                    "per-client",
-                    "num-queries",
-                    "seed",
-                    "objective",
-                    "k",
-                    "epsilon",
-                    "delta",
-                    "dtw",
-                    "no-retry",
-                    "min-shed",
-                    "max-attempts",
-                    "wait-ready",
-                ],
-            )?;
-            cmd_load_smoke(&opts)
-        }
-        other => Err(CliError::Usage(format!("unknown command `{other}`"))),
-    }
+    let Some((_, allowed, handler)) = COMMANDS.iter().find(|(name, ..)| *name == command) else {
+        return Err(usage(format!("unknown command `{command}`")));
+    };
+    opts.expect_keys(command, allowed)?;
+    handler(&opts)
 }
+
+type Handler = fn(&Opts) -> Result<(), CliError>;
+
+/// Each command with the options it accepts and its handler: `run`
+/// rejects any other option, and the command's `USAGE` block documents
+/// every one of them (a unit test holds the two together).
+const COMMANDS: &[(&str, &[&str], Handler)] = &[
+    (
+        "generate",
+        &["kind", "count", "out", "len", "seed"],
+        cmd_generate,
+    ),
+    (
+        "build",
+        &["data", "save", "shards", "leaf-target"],
+        cmd_build,
+    ),
+    ("info", &["data", "load", "shards", "leaf-target"], cmd_info),
+    (
+        "query",
+        &[
+            "data",
+            "queries",
+            "num-queries",
+            "k",
+            "dtw",
+            "seed",
+            "load",
+            "kernel",
+            "shards",
+            "leaf-target",
+        ],
+        cmd_query,
+    ),
+    (
+        "range",
+        &[
+            "data",
+            "queries",
+            "num-queries",
+            "epsilon",
+            "dtw",
+            "seed",
+            "load",
+            "shards",
+            "leaf-target",
+        ],
+        cmd_range,
+    ),
+    (
+        "bench-query",
+        &[
+            "data",
+            "queries",
+            "num-queries",
+            "objective",
+            "k",
+            "epsilon",
+            "delta",
+            "schedule",
+            "parallelism",
+            "workers",
+            "dtw",
+            "breakdown",
+            "seed",
+            "load",
+            "json",
+            "kernel",
+            "shards",
+            "leaf-target",
+        ],
+        cmd_bench_query,
+    ),
+    (
+        "serve",
+        &[
+            "data",
+            "load",
+            "addr",
+            "threads",
+            "admission",
+            "query-workers",
+            "breakdown",
+            "kernel",
+            "shards",
+            "leaf-target",
+            "ingest-log",
+            "republish-after",
+        ],
+        cmd_serve,
+    ),
+    (
+        "ingest",
+        &["addr", "data", "batch", "wait-ready"],
+        cmd_ingest,
+    ),
+    (
+        "compact",
+        &[
+            "data",
+            "log",
+            "out",
+            "load",
+            "save",
+            "shards",
+            "leaf-target",
+        ],
+        cmd_compact,
+    ),
+    (
+        "load-smoke",
+        &[
+            "addr",
+            "data",
+            "clients",
+            "per-client",
+            "num-queries",
+            "seed",
+            "objective",
+            "k",
+            "epsilon",
+            "delta",
+            "dtw",
+            "no-retry",
+            "min-shed",
+            "max-attempts",
+            "wait-ready",
+        ],
+        cmd_load_smoke,
+    ),
+];
 
 const USAGE: &str = "messi — in-memory data series indexing (MESSI, ICDE 2020)
 
@@ -228,8 +226,9 @@ USAGE:
   messi query       --data <file.mds> [--queries <file.mds>] [--num-queries <N>]
                     [--k <K>] [--dtw] [--seed <u64>] [--load <file.msx|dir>]
                     [--kernel <auto|simd|scalar>] [--shards <N>] [--leaf-target <N|auto>]
-  messi range       --data <file.mds> --epsilon <dist> [--num-queries <N>] [--dtw] [--seed <u64>]
-                    [--load <file.msx|dir>] [--shards <N>] [--leaf-target <N|auto>]
+  messi range       --data <file.mds> --epsilon <dist> [--queries <file.mds>] [--num-queries <N>]
+                    [--dtw] [--seed <u64>] [--load <file.msx|dir>] [--shards <N>]
+                    [--leaf-target <N|auto>]
   messi bench-query --data <file.mds> [--queries <file.mds>] [--num-queries <N>]
                     [--objective <exact|knn|range|approx>] [--k <K>] [--epsilon <dist|ratio>]
                     [--delta <0..=1>] [--schedule <intra|inter>] [--parallelism <P>]
@@ -308,8 +307,8 @@ default is 2000); `auto` derives it from the dataset size (one leaf per
 ~512 series, clamped to [64, 2000]) so small collections still fan out.
 Smaller leaves sharpen per-leaf pruning bounds; the derived leaf-run
 metadata keeps SIMD utilization high by batching adjacent small leaves
-into contiguous scans (`messi info` prints the run-length histogram,
-`MESSI_NO_RUN_BATCH=1` disables the batching for ablations). Like
+into contiguous scans, always (`messi info` prints the run-length
+histogram). Like
 --shards, --leaf-target applies at build time only and does not combine
 with --load.
 
@@ -443,6 +442,9 @@ fn cmd_generate(opts: &Opts) -> Result<(), CliError> {
         .map_err(|_| usage("invalid --count"))?;
     let out = PathBuf::from(opts.required("out")?);
     let len: usize = opts.parsed("len", kind.paper_series_len())?;
+    if len == 0 {
+        return Err(usage("--len must be positive"));
+    }
     let seed: u64 = opts.parsed("seed", 42u64)?;
     let generator = kind.generator_with_len(seed, len);
     let t = std::time::Instant::now();
@@ -701,9 +703,12 @@ fn queries_for_cli(opts: &Opts, data: &Arc<Dataset>) -> Result<Dataset, CliError
 }
 
 fn cmd_query(opts: &Opts) -> Result<(), CliError> {
+    let k: usize = opts.parsed("k", 1usize)?;
+    if k == 0 {
+        return Err(usage("--k must be positive"));
+    }
     let data = load(opts)?;
     let queries = queries_for_cli(opts, &data)?;
-    let k: usize = opts.parsed("k", 1usize)?;
     let use_dtw = opts.get("dtw").is_some();
     let (index, build) = obtain_index(opts, &data)?;
     if let Some(build) = &build {
@@ -933,6 +938,9 @@ fn cmd_bench_query(opts: &Opts) -> Result<(), CliError> {
         kernel: kernel_from(opts)?,
         ..QueryConfig::default()
     };
+    if config.num_workers == 0 {
+        return Err(usage("--workers must be positive"));
+    }
 
     let (index, build) = obtain_index(opts, &data)?;
     println!(
@@ -1064,7 +1072,7 @@ fn cmd_bench_query(opts: &Opts) -> Result<(), CliError> {
             .unwrap_or_default();
         let line = format!(
             "{{\"objective\":\"{}\",\"metric\":\"{}\",\"schedule\":\"{}\",\"kernel\":\"{}\",\
-             \"shards\":{},\"available_cores\":{},\"run_batch\":{},\"queries\":{},\
+             \"shards\":{},\"available_cores\":{},\"queries\":{},\
              \"wall_us\":{},\"qps\":{:.3},\"mean_query_us\":{},\
              \"p50_us\":{},\"p99_us\":{},\"max_us\":{},\"lb_calcs_per_query\":{:.3},\
              \"real_calcs_per_query\":{:.3},\"bsf_updates\":{},\"budget_stops\":{},\
@@ -1088,7 +1096,6 @@ fn cmd_bench_query(opts: &Opts) -> Result<(), CliError> {
             },
             index.num_shards(),
             cores,
-            config.run_batching(),
             agg.queries,
             wall.as_micros(),
             n / wall.as_secs_f64(),
@@ -1536,6 +1543,55 @@ fn describe_schedule(schedule: &Schedule, workers: usize) -> String {
         Schedule::IntraQuery => format!("schedule=intra ({workers} workers/query)"),
         Schedule::InterQuery { parallelism } => {
             format!("schedule=inter ({parallelism} single-threaded query workers)")
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The `--key` names in a command's `USAGE` block: its `messi <cmd>`
+    /// line plus the deeper-indented continuation lines.
+    fn documented_keys(command: &str) -> Vec<String> {
+        let head = format!("  messi {command} ");
+        let mut lines = USAGE.lines().skip_while(|l| !l.starts_with(&head));
+        let first = lines.next().expect("command has a USAGE block");
+        let block = std::iter::once(first)
+            .chain(lines.take_while(|l| l.starts_with("                    ")))
+            .collect::<Vec<_>>()
+            .join(" ");
+        block
+            .split("--")
+            .skip(1)
+            .map(|rest| {
+                rest.chars()
+                    .take_while(|c| c.is_ascii_lowercase() || *c == '-')
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn every_accepted_key_is_documented_in_usage() {
+        for (command, keys, _) in COMMANDS {
+            let documented = documented_keys(command);
+            for key in *keys {
+                assert!(
+                    documented.iter().any(|d| d == key),
+                    "`messi {command}` accepts --{key}, but USAGE does not list it"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn flag_keys_are_accepted_by_some_command() {
+        for flag in FLAG_KEYS {
+            assert!(
+                COMMANDS.iter().any(|(_, keys, _)| keys.contains(flag)),
+                "bare flag --{flag} is accepted by no command"
+            );
         }
     }
 }

@@ -100,7 +100,6 @@ fn query_parameter_sweep_preserves_exactness() {
                     kernel: Kernel::Auto,
                     queue_policy: messi::index::QueuePolicy::SharedRoundRobin,
                     collect_breakdown: num_workers == 5,
-                    run_batch: messi::index::RunBatchPolicy::default(),
                 };
                 check_exact(&index, &data, &queries, &qc);
             }

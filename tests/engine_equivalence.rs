@@ -84,7 +84,6 @@ fn query_config(s: &Scenario) -> QueryConfig {
             messi::index::QueuePolicy::SharedRoundRobin
         },
         collect_breakdown: false,
-        run_batch: messi::index::RunBatchPolicy::default(),
     }
 }
 

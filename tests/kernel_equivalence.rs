@@ -120,10 +120,10 @@ proptest! {
         seed in 0u64..1_000_000,
         segments_pick in 0usize..3,
     ) {
-        // Pin every remainder length explicitly: 4–7 dispatch to the
-        // 4-wide SSE tail kernel under SIMD, 1–3 stay on the scalar
-        // twin in both arms. Each must match the scalar path bit for
-        // bit at every lane.
+        // Pin every remainder length explicitly: a partial chunk of 1–7
+        // entries takes the scalar twin under either dispatch, right
+        // after a full AVX2 chunk. Each must match the scalar path bit
+        // for bit at every lane.
         let segments = [8usize, 12, 16][segments_pick];
         let series_len = segments * 16;
         let config = SaxConfig::new(segments, series_len);
